@@ -101,6 +101,13 @@ class Nfa:
         return f"<Nfa {self.n} states, alphabet {','.join(self.alphabet)}>"
 
 
+def _require_same_alphabet(a: Nfa, b: Nfa) -> None:
+    if set(a.alphabet) != set(b.alphabet):
+        raise ValueError(
+            f"alphabet mismatch: {sorted(a.alphabet)} vs {sorted(b.alphabet)}"
+        )
+
+
 def delta_word(a: Nfa, u) -> BoolRel:
     """Transition relation of a whole word; the empty word gives equality."""
     rel = BoolRel.identity(a.n)
@@ -302,20 +309,18 @@ def find_isomorphism(a: Nfa, b: Nfa):
     Color refinement prunes the candidate images, then a backtracking
     assignment tries states in index order and images in increasing order,
     so the returned bijection has the lexicographically least image sequence
-    among all isomorphisms.  Returns None when the automata are not
-    isomorphic.
+    among all isomorphisms.  The search keeps its own stack, so its depth
+    is not bounded by the interpreter's recursion limit.  Returns None when
+    the automata are not isomorphic.
     """
-    if set(a.alphabet) != set(b.alphabet):
-        raise ValueError(
-            f"alphabet mismatch: {sorted(a.alphabet)} vs {sorted(b.alphabet)}"
-        )
+    _require_same_alphabet(a, b)
     if a.n != b.n:
         return None
     colors = _stable_colors(a, b)
     if colors is None:
         return None
     ca, cb = colors
-    image = [None] * a.n
+    image = []
     used = [False] * b.n
 
     def consistent(i, j):
@@ -329,22 +334,23 @@ def find_isomorphism(a: Nfa, b: Nfa):
                     return False
         return True
 
-    def search(i):
-        if i == a.n:
-            return True
-        for j in range(b.n):
-            if used[j] or not consistent(i, j):
-                continue
-            image[i] = j
+    # ``image`` is the stack: extend it with the least consistent unused image
+    # from j on, or pop its top and resume the search just above it.
+    j = 0
+    while len(image) < a.n:
+        i = len(image)
+        while j < b.n and (used[j] or not consistent(i, j)):
+            j += 1
+        if j < b.n:
+            image.append(j)
             used[j] = True
-            if search(i + 1):
-                return True
-            image[i] = None
+            j = 0
+        elif image:
+            j = image.pop()
             used[j] = False
-        return False
-
-    if not search(0):
-        return None
+            j += 1
+        else:
+            return None
     phi = tuple(image)
     if not is_isomorphism(a, b, phi):
         raise AssertionError("isomorphism search produced an invalid mapping")

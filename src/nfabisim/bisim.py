@@ -13,20 +13,22 @@ Condition names used in reports:
 * ``terminal-forward``  -- every terminal state of A is related to a terminal state of B
 * ``terminal-backward`` -- every terminal state of B is related to a terminal state of A
 
-plus ``step-*[x]`` and ``*-image`` names for the per-symbol and containment
-conditions itemized by :func:`check`.
+plus ``step-*[x]``, ``*-image`` and ``weak-*`` names for the per-symbol,
+containment and weak conditions itemized by :func:`check`.  Each strong kind
+is checked as a forward and/or a backward simulation half; a ``-rev`` half is
+the same half asked of phi^-1 between B and A.  Each weak backward kind is
+checked as its forward dual on the reversed automata.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from .automaton import Nfa, reverse
+from .automaton import Nfa, _require_same_alphabet, reverse
 from .relcalc import (
     BoolRel,
-    BoolVec,
     Partition,
     arrow_left,
     arrow_right,
@@ -117,13 +119,6 @@ class BisimReport:
         return self.relation is not None
 
 
-def _require_same_alphabet(a: Nfa, b: Nfa) -> None:
-    if set(a.alphabet) != set(b.alphabet):
-        raise ValueError(
-            f"alphabet mismatch: {sorted(a.alphabet)} vs {sorted(b.alphabet)}"
-        )
-
-
 def _require_shape(a: Nfa, b: Nfa, phi: BoolRel) -> None:
     if phi.rows != a.n or phi.cols != b.n:
         raise ValueError(
@@ -131,137 +126,91 @@ def _require_shape(a: Nfa, b: Nfa, phi: BoolRel) -> None:
         )
 
 
-# Covering conditions (the ones a greatest-relation report can fail on).
-
-def _initial_forward(a, b, phi):
-    return a.sigma.issubset(rel_vec(phi, b.sigma))
-
-
-def _initial_backward(a, b, phi):
-    return b.sigma.issubset(vec_rel(a.sigma, phi))
+# Covering conditions: the ones a greatest-relation report can fail on.
+_COVER = {
+    "initial-forward": lambda a, b, phi: a.sigma.issubset(rel_vec(phi, b.sigma)),
+    "initial-backward": lambda a, b, phi: b.sigma.issubset(vec_rel(a.sigma, phi)),
+    "terminal-forward": lambda a, b, phi: a.tau.issubset(rel_vec(phi, b.tau)),
+}
 
 
-def _terminal_forward(a, b, phi):
-    return a.tau.issubset(rel_vec(phi, b.tau))
-
-
-def _terminal_backward(a, b, phi):
-    return b.tau.issubset(vec_rel(a.tau, phi))
-
-
-def _strong_conditions(kind, a, b, phi):
-    inv = inverse(phi)
-    conds = []
-
-    def fwd_steps():
-        for x in a.alphabet:
-            holds = subset_of(compose(inv, a.delta[x]), compose(b.delta[x], inv))
-            conds.append((f"step-forward[{x}]", holds))
-
-    def fwd_steps_rev():
-        for x in a.alphabet:
-            holds = subset_of(compose(phi, b.delta[x]), compose(a.delta[x], phi))
-            conds.append((f"step-forward-rev[{x}]", holds))
-
-    def bwd_steps():
-        for x in a.alphabet:
-            holds = subset_of(compose(a.delta[x], phi), compose(phi, b.delta[x]))
-            conds.append((f"step-backward[{x}]", holds))
-
-    def bwd_steps_rev():
-        for x in a.alphabet:
-            holds = subset_of(compose(b.delta[x], inv), compose(inv, a.delta[x]))
-            conds.append((f"step-backward-rev[{x}]", holds))
-
-    if kind is BisimKind.FORWARD_SIM:
-        conds.append(("initial-forward", _initial_forward(a, b, phi)))
-        fwd_steps()
-        conds.append(("terminal-image", vec_rel(a.tau, phi).issubset(b.tau)))
-    elif kind is BisimKind.BACKWARD_SIM:
-        conds.append(("initial-image", vec_rel(a.sigma, phi).issubset(b.sigma)))
-        bwd_steps()
-        conds.append(("terminal-forward", _terminal_forward(a, b, phi)))
-    elif kind is BisimKind.FORWARD_BISIM:
-        conds.append(("initial-forward", _initial_forward(a, b, phi)))
-        fwd_steps()
-        conds.append(("terminal-image", vec_rel(a.tau, phi).issubset(b.tau)))
-        conds.append(("initial-backward", _initial_backward(a, b, phi)))
-        fwd_steps_rev()
-        conds.append(("terminal-image-rev", rel_vec(phi, b.tau).issubset(a.tau)))
-    elif kind is BisimKind.BACKWARD_BISIM:
-        conds.append(("initial-image", vec_rel(a.sigma, phi).issubset(b.sigma)))
-        bwd_steps()
-        conds.append(("terminal-forward", _terminal_forward(a, b, phi)))
-        conds.append(("initial-image-rev", rel_vec(phi, b.sigma).issubset(a.sigma)))
-        bwd_steps_rev()
-        conds.append(("terminal-backward", _terminal_backward(a, b, phi)))
-    elif kind is BisimKind.BACKWARD_FORWARD_BISIM:
-        conds.append(("initial-image", vec_rel(a.sigma, phi).issubset(b.sigma)))
-        bwd_steps()
-        conds.append(("terminal-forward", _terminal_forward(a, b, phi)))
-        conds.append(("initial-backward", _initial_backward(a, b, phi)))
-        fwd_steps_rev()
-        conds.append(("terminal-image-rev", rel_vec(phi, b.tau).issubset(a.tau)))
-    elif kind is BisimKind.FORWARD_BACKWARD_BISIM:
-        conds.append(("initial-forward", _initial_forward(a, b, phi)))
-        fwd_steps()
-        conds.append(("terminal-image", vec_rel(a.tau, phi).issubset(b.tau)))
-        conds.append(("initial-image-rev", rel_vec(phi, b.sigma).issubset(a.sigma)))
-        bwd_steps_rev()
-        conds.append(("terminal-backward", _terminal_backward(a, b, phi)))
-    else:  # pragma: no cover - guarded by check()
-        raise ValueError(f"not a strong kind: {kind}")
+def _forward_half(a, b, phi, inv, symbols, names):
+    """Conditions for phi to be a forward simulation of A by B: initial states
+    are covered, every step of A is matched by B, terminal states map into
+    terminal ones."""
+    initial, step, terminal = names
+    conds = [(initial, _COVER["initial-forward"](a, b, phi))]
+    for x in symbols:
+        holds = subset_of(compose(inv, a.delta[x]), compose(b.delta[x], inv))
+        conds.append((f"{step}[{x}]", holds))
+    conds.append((terminal, vec_rel(a.tau, phi).issubset(b.tau)))
     return conds
 
 
-def _weak_conditions(kind, a, b, phi):
-    inv = inverse(phi)
-    conds = []
-    if kind in (BisimKind.WEAK_FORWARD_SIM, BisimKind.WEAK_FORWARD_BISIM):
-        pairs = reachable_terminal_pairs(a, b)
-        conds.append(
-            (
-                "weak-terminal",
-                all(vec_rel(ta, phi).issubset(tb) for ta, tb in pairs),
-            )
-        )
-        if kind is BisimKind.WEAK_FORWARD_BISIM:
-            conds.append(
-                (
-                    "weak-terminal-rev",
-                    all(vec_rel(tb, inv).issubset(ta) for ta, tb in pairs),
-                )
-            )
-        conds.append(("initial-forward", _initial_forward(a, b, phi)))
-        if kind is BisimKind.WEAK_FORWARD_BISIM:
-            conds.append(("initial-backward", _initial_backward(a, b, phi)))
-    else:
-        pairs = reachable_initial_pairs(a, b)
-        conds.append(
-            (
-                "weak-initial",
-                all(vec_rel(sa, phi).issubset(sb) for sa, sb in pairs),
-            )
-        )
-        if kind is BisimKind.WEAK_BACKWARD_BISIM:
-            conds.append(
-                (
-                    "weak-initial-rev",
-                    all(vec_rel(sb, inv).issubset(sa) for sa, sb in pairs),
-                )
-            )
-        conds.append(("terminal-forward", _terminal_forward(a, b, phi)))
-        if kind is BisimKind.WEAK_BACKWARD_BISIM:
-            conds.append(("terminal-backward", _terminal_backward(a, b, phi)))
+def _backward_half(a, b, phi, inv, symbols, names):
+    """Conditions for phi to be a backward simulation of A by B: initial
+    states map into initial ones, every step into A is matched by B, terminal
+    states are covered."""
+    initial, step, terminal = names
+    conds = [(initial, vec_rel(a.sigma, phi).issubset(b.sigma))]
+    for x in symbols:
+        holds = subset_of(compose(a.delta[x], phi), compose(phi, b.delta[x]))
+        conds.append((f"{step}[{x}]", holds))
+    conds.append((terminal, _COVER["terminal-forward"](a, b, phi)))
     return conds
 
 
-_WEAK_KINDS = (
-    BisimKind.WEAK_FORWARD_SIM,
-    BisimKind.WEAK_BACKWARD_SIM,
-    BisimKind.WEAK_FORWARD_BISIM,
-    BisimKind.WEAK_BACKWARD_BISIM,
+# A half is (checker, flipped, three condition names); a flipped half is the
+# same checker asked of phi^-1 between B and A.  Halves iterate A's symbols
+# even when flipped, so the step conditions keep A's alphabet order.
+_FORWARD = (_forward_half, False, "initial-forward", "step-forward", "terminal-image")
+_FORWARD_REV = (
+    _forward_half, True, "initial-backward", "step-forward-rev", "terminal-image-rev"
 )
+_BACKWARD = (
+    _backward_half, False, "initial-image", "step-backward", "terminal-forward"
+)
+_BACKWARD_REV = (
+    _backward_half, True, "initial-image-rev", "step-backward-rev", "terminal-backward"
+)
+_HALVES = {
+    BisimKind.FORWARD_SIM: (_FORWARD,),
+    BisimKind.BACKWARD_SIM: (_BACKWARD,),
+    BisimKind.FORWARD_BISIM: (_FORWARD, _FORWARD_REV),
+    BisimKind.BACKWARD_BISIM: (_BACKWARD, _BACKWARD_REV),
+    BisimKind.BACKWARD_FORWARD_BISIM: (_BACKWARD, _FORWARD_REV),
+    BisimKind.FORWARD_BACKWARD_BISIM: (_FORWARD, _BACKWARD_REV),
+}
+
+
+def _weak_conditions(kind, a, b, phi, inv):
+    pairs = reachable_terminal_pairs(a, b)
+    holds = all(vec_rel(ta, phi).issubset(tb) for ta, tb in pairs)
+    conds = [("weak-terminal", holds)]
+    cover = ("initial-forward",)
+    if kind is BisimKind.WEAK_FORWARD_BISIM:
+        holds = all(vec_rel(tb, inv).issubset(ta) for ta, tb in pairs)
+        conds.append(("weak-terminal-rev", holds))
+        cover += ("initial-backward",)
+    return conds + [(name, _COVER[name](a, b, phi)) for name in cover]
+
+
+# Reversal swaps the roles of the initial and terminal vectors, so condition
+# names from a dual run are mapped back to the original automata.
+_DUAL_NAME = {
+    "initial-forward": "terminal-forward",
+    "initial-backward": "terminal-backward",
+    "terminal-forward": "initial-forward",
+    "terminal-backward": "initial-backward",
+    "weak-terminal": "weak-initial",
+    "weak-terminal-rev": "weak-initial-rev",
+}
+
+# A weak backward kind is checked as its forward dual on the reversed automata.
+_WEAK_DUAL = {
+    BisimKind.WEAK_BACKWARD_SIM: BisimKind.WEAK_FORWARD_SIM,
+    BisimKind.WEAK_BACKWARD_BISIM: BisimKind.WEAK_FORWARD_BISIM,
+}
 
 
 def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
@@ -270,95 +219,91 @@ def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
     _require_shape(a, b, phi)
     if phi.is_empty():
         raise ValueError("relation must be nonempty")
-    if kind in _WEAK_KINDS:
-        conds = _weak_conditions(kind, a, b, phi)
+    inv = inverse(phi)
+    if kind in _HALVES:
+        conds = []
+        for half, flipped, *names in _HALVES[kind]:
+            args = (b, a, inv, phi) if flipped else (a, b, phi, inv)
+            conds += half(*args, a.alphabet, names)
+    elif kind in _WEAK_DUAL:
+        dual = _weak_conditions(_WEAK_DUAL[kind], reverse(a), reverse(b), phi, inv)
+        conds = [(_DUAL_NAME[name], holds) for name, holds in dual]
     else:
-        conds = _strong_conditions(kind, a, b, phi)
+        conds = _weak_conditions(kind, a, b, phi, inv)
     return CheckResult(kind, all(ok for _, ok in conds), tuple(conds))
 
 
-def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
-    """Shrinking candidate sequence for the greatest forward bisimulation.
-
-    Starts from the terminal-agreement relation and intersects, per symbol,
-    both residual bounds until two consecutive relations coincide.  The loop
-    also stops as soon as the candidate empties out, since the empty relation
-    can only shrink to itself.
-    """
-    _require_same_alphabet(a, b)
-    phi = biarrow(a.tau, b.tau)
+def _shrink(phi: BoolRel, symbols, bounds) -> list:
+    """Intersect phi with both per-symbol bounds until two consecutive
+    relations coincide; stops early once the candidate is empty, since the
+    empty relation can only shrink to itself."""
     seq = [phi]
     while not phi.is_empty():
         nxt = phi
-        for x in a.alphabet:
-            bound_rev = inverse(
-                residual_left(compose(b.delta[x], inverse(phi)), a.delta[x])
-            )
-            bound_fwd = residual_left(compose(a.delta[x], phi), b.delta[x])
-            nxt = intersect(nxt, intersect(bound_rev, bound_fwd))
+        for x in symbols:
+            first, second = bounds(x, phi)
+            nxt = intersect(nxt, intersect(first, second))
         seq.append(nxt)
         if nxt == phi:
             break
         phi = nxt
     return seq
+
+
+def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
+    """Shrinking candidate sequence for the greatest forward bisimulation,
+    starting from the terminal-agreement relation."""
+    _require_same_alphabet(a, b)
+    return _shrink(
+        biarrow(a.tau, b.tau),
+        a.alphabet,
+        lambda x, phi: (
+            inverse(residual_left(compose(b.delta[x], inverse(phi)), a.delta[x])),
+            residual_left(compose(a.delta[x], phi), b.delta[x]),
+        ),
+    )
 
 
 def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     """Candidate sequence for the greatest backward-forward bisimulation."""
     _require_same_alphabet(a, b)
-    phi = intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau))
-    seq = [phi]
-    while not phi.is_empty():
-        nxt = phi
-        for x in a.alphabet:
-            bound_bwd = residual_left(compose(a.delta[x], phi), b.delta[x])
-            bound_fwd = residual_right(compose(phi, b.delta[x]), a.delta[x])
-            nxt = intersect(nxt, intersect(bound_bwd, bound_fwd))
-        seq.append(nxt)
-        if nxt == phi:
-            break
-        phi = nxt
-    return seq
+    return _shrink(
+        intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau)),
+        a.alphabet,
+        lambda x, phi: (
+            residual_left(compose(a.delta[x], phi), b.delta[x]),
+            residual_right(compose(phi, b.delta[x]), a.delta[x]),
+        ),
+    )
 
 
-def _report(kind, phi, iterations, acceptance) -> BisimReport:
-    violated = tuple(name for name, ok in acceptance if not ok)
+def _report(kind, a, b, phi, iterations, cover) -> BisimReport:
+    """Accept phi, or reject it with the covering conditions it violates."""
+    violated = tuple(name for name in cover if not _COVER[name](a, b, phi))
     if violated:
         return BisimReport(kind, None, iterations, failure=violated)
     flags = ("relation-is-empty",) if phi.is_empty() else ()
     return BisimReport(kind, phi, iterations, flags=flags)
 
 
+def _greatest(kind, a, b, seq, cover) -> BisimReport:
+    return _report(kind, a, b, seq[-1], len(seq) - 1, cover)
+
+
 def greatest_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest forward bisimulation, or the violated covering conditions."""
-    seq = forward_bisim_steps(a, b)
-    phi = seq[-1]
-    acceptance = [
-        ("initial-forward", _initial_forward(a, b, phi)),
-        ("initial-backward", _initial_backward(a, b, phi)),
-    ]
-    return _report(BisimKind.FORWARD_BISIM, phi, len(seq) - 1, acceptance)
+    return _greatest(
+        BisimKind.FORWARD_BISIM, a, b, forward_bisim_steps(a, b),
+        ("initial-forward", "initial-backward"),
+    )
 
 
 def greatest_backward_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest backward-forward bisimulation, or the violated conditions."""
-    seq = backward_forward_bisim_steps(a, b)
-    phi = seq[-1]
-    acceptance = [
-        ("terminal-forward", _terminal_forward(a, b, phi)),
-        ("initial-backward", _initial_backward(a, b, phi)),
-    ]
-    return _report(BisimKind.BACKWARD_FORWARD_BISIM, phi, len(seq) - 1, acceptance)
-
-
-# Reversal swaps the roles of the initial and terminal vectors, so failure
-# names from a dual run are mapped back to the original automata.
-_DUAL_NAME = {
-    "initial-forward": "terminal-forward",
-    "initial-backward": "terminal-backward",
-    "terminal-forward": "initial-forward",
-    "terminal-backward": "initial-backward",
-}
+    return _greatest(
+        BisimKind.BACKWARD_FORWARD_BISIM, a, b, backward_forward_bisim_steps(a, b),
+        ("terminal-forward", "initial-backward"),
+    )
 
 
 def _dualize(report: BisimReport, kind: BisimKind) -> BisimReport:
@@ -381,7 +326,7 @@ def greatest_forward_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     return _dualize(rep, BisimKind.FORWARD_BACKWARD_BISIM)
 
 
-def _equivalence_of(report: BisimReport, a: Nfa) -> Partition:
+def _equivalence_of(report: BisimReport) -> Partition:
     if report.relation is None:  # pragma: no cover - identity always qualifies
         raise AssertionError("self-bisimulation fixpoint was rejected")
     return Partition.from_relation(report.relation)
@@ -390,26 +335,11 @@ def _equivalence_of(report: BisimReport, a: Nfa) -> Partition:
 def greatest_fb_equivalence(a: Nfa) -> Partition:
     """Classes of the greatest forward bisimulation of an automaton with
     itself; the fixpoint is verified to be an equivalence on conversion."""
-    return _equivalence_of(greatest_forward_bisim(a, a), a)
+    return _equivalence_of(greatest_forward_bisim(a, a))
 
 
 def greatest_bb_equivalence(a: Nfa) -> Partition:
-    return _equivalence_of(greatest_backward_bisim(a, a), a)
-
-
-def _synchronized_pairs(va: BoolVec, vb: BoolVec, step) -> list:
-    seen = {(va.mask, vb.mask)}
-    order = [(va, vb)]
-    queue = deque(order)
-    while queue:
-        xa, xb = queue.popleft()
-        for na, nb in step(xa, xb):
-            key = (na.mask, nb.mask)
-            if key not in seen:
-                seen.add(key)
-                order.append((na, nb))
-                queue.append((na, nb))
-    return order
+    return _equivalence_of(greatest_backward_bisim(a, a))
 
 
 def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
@@ -420,33 +350,25 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     covers all words.
     """
     _require_same_alphabet(a, b)
-    return _synchronized_pairs(
-        a.tau,
-        b.tau,
-        lambda xa, xb: (
-            (rel_vec(a.delta[x], xa), rel_vec(b.delta[x], xb)) for x in a.alphabet
-        ),
-    )
+    seen = {(a.tau.mask, b.tau.mask)}
+    order = [(a.tau, b.tau)]
+    # The list doubles as the queue: iteration reaches every appended pair.
+    for xa, xb in order:
+        for x in a.alphabet:
+            na, nb = rel_vec(a.delta[x], xa), rel_vec(b.delta[x], xb)
+            if (na.mask, nb.mask) not in seen:
+                seen.add((na.mask, nb.mask))
+                order.append((na, nb))
+    return order
 
 
 def reachable_initial_pairs(a: Nfa, b: Nfa) -> list:
     """Dual of reachable_terminal_pairs, over word-indexed initial vectors."""
-    _require_same_alphabet(a, b)
-    return _synchronized_pairs(
-        a.sigma,
-        b.sigma,
-        lambda xa, xb: (
-            (vec_rel(xa, a.delta[x]), vec_rel(xb, b.delta[x])) for x in a.alphabet
-        ),
-    )
+    return reachable_terminal_pairs(reverse(a), reverse(b))
 
 
 def _intersect_over_pairs(pairs, build) -> BoolRel:
-    acc = None
-    for ta, tb in pairs:
-        rel = build(ta, tb)
-        acc = rel if acc is None else intersect(acc, rel)
-    return acc
+    return functools.reduce(intersect, (build(ta, tb) for ta, tb in pairs))
 
 
 def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
@@ -454,19 +376,19 @@ def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
     terminal-vector membership of the left one carries over to the right."""
     pairs = reachable_terminal_pairs(a, b)
     lam = _intersect_over_pairs(pairs, arrow_right)
-    acceptance = [("initial-forward", _initial_forward(a, b, lam))]
-    return _report(BisimKind.WEAK_FORWARD_SIM, lam, len(pairs), acceptance)
+    return _report(
+        BisimKind.WEAK_FORWARD_SIM, a, b, lam, len(pairs), ("initial-forward",)
+    )
 
 
 def greatest_weak_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak forward bisimulation: memberships must agree exactly."""
     pairs = reachable_terminal_pairs(a, b)
     mu = _intersect_over_pairs(pairs, biarrow)
-    acceptance = [
-        ("initial-forward", _initial_forward(a, b, mu)),
-        ("initial-backward", _initial_backward(a, b, mu)),
-    ]
-    return _report(BisimKind.WEAK_FORWARD_BISIM, mu, len(pairs), acceptance)
+    return _report(
+        BisimKind.WEAK_FORWARD_BISIM, a, b, mu, len(pairs),
+        ("initial-forward", "initial-backward"),
+    )
 
 
 def greatest_weak_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
@@ -479,8 +401,7 @@ def wfb_equivalence_bound(a: Nfa) -> Partition:
     agreeing on every reachable terminal vector.  Every equivalence below it
     is again a weak forward bisimulation; none above it is."""
     pairs = reachable_terminal_pairs(a, a)
-    rel = _intersect_over_pairs(pairs, biarrow)
-    return Partition.from_relation(rel)
+    return Partition.from_relation(_intersect_over_pairs(pairs, biarrow))
 
 
 def wbb_equivalence_bound(a: Nfa) -> Partition:

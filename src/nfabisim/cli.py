@@ -17,7 +17,9 @@ Relation files carry a ``rows cols`` header followed by one 0/1 string per
 row.
 
 Exit codes: 0 for a positive verdict (or plain success), 1 for a negative
-verdict, 2 for unusable input.
+verdict, 2 for unusable input, 3 for an internal failure (a failed
+self-check such as two decision routes disagreeing); the last prints one
+``internal error:`` line on stderr and is never a verdict.
 """
 
 from __future__ import annotations
@@ -404,15 +406,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .automaton import (
     Nfa,
+    _require_same_alphabet,
     bounded_language,
     factor,
     find_isomorphism,
@@ -47,8 +48,7 @@ from .relcalc import (
 
 __all__ = [
     "EquivVerdict",
-    "FbWitness",
-    "WfbWitness",
+    "EquivWitness",
     "fb_equivalent",
     "wfb_equivalent",
     "language_equivalent",
@@ -61,19 +61,12 @@ __all__ = [
     "function_fb_iff_bfb",
 ]
 
-REDUCTION_MODES = ("fb", "bb", "wfb", "wbb", "alternate")
-
 
 @dataclass(frozen=True)
-class FbWitness:
-    relation: BoolRel
-    class_map: tuple
-    classes_a: Partition
-    classes_b: Partition
+class EquivWitness:
+    """Proof of a positive fb or wfb verdict: the greatest relation, the
+    bijection between the factor automata, and the two factoring partitions."""
 
-
-@dataclass(frozen=True)
-class WfbWitness:
     relation: BoolRel
     class_map: tuple
     classes_a: Partition
@@ -92,84 +85,68 @@ class EquivVerdict:
         return self.equivalent
 
 
-def _require_same_alphabet(a: Nfa, b: Nfa) -> None:
-    if set(a.alphabet) != set(b.alphabet):
-        raise ValueError(
-            f"alphabet mismatch: {sorted(a.alphabet)} vs {sorted(b.alphabet)}"
+def _two_routes(a, b, greatest, classes, match, is_match, route) -> EquivVerdict:
+    """Decide by the greatest relation and by matching the factor automata.
+
+    Route one asks whether ``greatest(a, b)`` is complete and surjective;
+    route two factors each automaton by ``classes`` and searches for a
+    ``match`` between the factors.  The routes must agree, and a positive
+    witness is re-verified against the definitions (``is_match`` for the
+    mapping).
+    """
+    _require_same_alphabet(a, b)
+    rep = greatest(a, b)
+    direct = (
+        rep.relation is not None
+        and is_complete(rep.relation)
+        and is_surjective(rep.relation)
+    )
+    e_a, e_b = classes(a), classes(b)
+    factored_a, factored_b = factor(a, e_a), factor(b, e_b)
+    mapping = match(factored_a, factored_b)
+    if direct != (mapping is not None):
+        raise AssertionError(
+            f"decision paths disagree: greatest-relation={direct}, "
+            f"{route}={mapping is not None}"
         )
+    method = rep.kind.value
+    if not direct:
+        return EquivVerdict(False, method)
+    phi = rep.relation
+    if not (
+        is_uniform(phi)
+        and check(rep.kind, a, b, phi).ok
+        and is_match(factored_a, factored_b, mapping)
+    ):
+        raise AssertionError("witness failed re-verification")
+    return EquivVerdict(True, method, EquivWitness(phi, mapping, e_a, e_b))
 
 
 def fb_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     """Decide whether a complete and surjective forward bisimulation exists.
 
-    Path one inspects the greatest forward bisimulation; path two factors both
-    automata by their greatest forward bisimulation equivalences and searches
-    for an isomorphism.  The verdict is returned only when both paths agree,
-    and a positive witness is re-verified against the definitions.
+    The structural route factors both automata by their greatest forward
+    bisimulation equivalences and searches for an isomorphism.  The verdict
+    is returned only when both routes agree, and a positive witness is
+    re-verified against the definitions.
     """
-    _require_same_alphabet(a, b)
-    rep = greatest_forward_bisim(a, b)
-    direct = (
-        rep.relation is not None
-        and is_complete(rep.relation)
-        and is_surjective(rep.relation)
+    return _two_routes(
+        a, b, greatest_forward_bisim, greatest_fb_equivalence,
+        find_isomorphism, is_isomorphism, "factor-isomorphism",
     )
-    e_a = greatest_fb_equivalence(a)
-    e_b = greatest_fb_equivalence(b)
-    factored_a = factor(a, e_a)
-    factored_b = factor(b, e_b)
-    iso = find_isomorphism(factored_a, factored_b)
-    if direct != (iso is not None):
-        raise AssertionError(
-            f"decision paths disagree: greatest-relation={direct}, "
-            f"factor-isomorphism={iso is not None}"
-        )
-    if not direct:
-        return EquivVerdict(False, "fb")
-    phi = rep.relation
-    if not (
-        is_uniform(phi)
-        and check(BisimKind.FORWARD_BISIM, a, b, phi).ok
-        and is_isomorphism(factored_a, factored_b, iso)
-    ):
-        raise AssertionError("witness failed re-verification")
-    return EquivVerdict(True, "fb", FbWitness(phi, iso, e_a, e_b))
 
 
 def wfb_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     """Weak counterpart of fb_equivalent.
 
-    The structural path compares the factors by the greatest weak equivalence
+    The structural route compares the factors by the greatest weak equivalence
     using a weak forward isomorphism, which only has to preserve initial
     states and the word-indexed terminal vectors.
     """
-    _require_same_alphabet(a, b)
-    rep = greatest_weak_forward_bisim(a, b)
-    direct = (
-        rep.relation is not None
-        and is_complete(rep.relation)
-        and is_surjective(rep.relation)
+    return _two_routes(
+        a, b, greatest_weak_forward_bisim, wfb_equivalence_bound,
+        weak_forward_isomorphism, is_weak_forward_isomorphism, "weak-isomorphism",
     )
-    e_a = wfb_equivalence_bound(a)
-    e_b = wfb_equivalence_bound(b)
-    factored_a = factor(a, e_a)
-    factored_b = factor(b, e_b)
-    wf_iso = weak_forward_isomorphism(factored_a, factored_b)
-    if direct != (wf_iso is not None):
-        raise AssertionError(
-            f"decision paths disagree: greatest-relation={direct}, "
-            f"weak-isomorphism={wf_iso is not None}"
-        )
-    if not direct:
-        return EquivVerdict(False, "wfb")
-    mu = rep.relation
-    if not (
-        is_uniform(mu)
-        and check(BisimKind.WEAK_FORWARD_BISIM, a, b, mu).ok
-        and is_weak_forward_isomorphism(factored_a, factored_b, wf_iso)
-    ):
-        raise AssertionError("witness failed re-verification")
-    return EquivVerdict(True, "wfb", WfbWitness(mu, wf_iso, e_a, e_b))
 
 
 def language_equivalent(a: Nfa, b: Nfa, maxlen: int) -> EquivVerdict:
@@ -248,6 +225,15 @@ def is_weak_forward_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     return True
 
 
+_EQUIVALENCES = {
+    "fb": greatest_fb_equivalence,
+    "bb": greatest_bb_equivalence,
+    "wfb": wfb_equivalence_bound,
+    "wbb": wbb_equivalence_bound,
+}
+REDUCTION_MODES = (*_EQUIVALENCES, "alternate")
+
+
 def reduce(a: Nfa, mode: str) -> Nfa:
     """Shrink an automaton by factoring out a greatest equivalence.
 
@@ -255,23 +241,16 @@ def reduce(a: Nfa, mode: str) -> Nfa:
     equivalence, ``wfb``/``wbb`` the weak bounds, and ``alternate`` applies
     fb- then bb-reduction repeatedly until the state count stops shrinking.
     """
-    if mode == "fb":
-        return factor(a, greatest_fb_equivalence(a))
-    if mode == "bb":
-        return factor(a, greatest_bb_equivalence(a))
-    if mode == "wfb":
-        return factor(a, wfb_equivalence_bound(a))
-    if mode == "wbb":
-        return factor(a, wbb_equivalence_bound(a))
-    if mode == "alternate":
-        cur = a
-        while True:
-            before = cur.n
-            cur = factor(cur, greatest_fb_equivalence(cur))
-            cur = factor(cur, greatest_bb_equivalence(cur))
-            if cur.n == before:
-                return cur
-    raise ValueError(f"unknown reduction mode {mode!r}")
+    if mode in _EQUIVALENCES:
+        return factor(a, _EQUIVALENCES[mode](a))
+    if mode != "alternate":
+        raise ValueError(f"unknown reduction mode {mode!r}")
+    while True:
+        before = a.n
+        a = factor(a, greatest_fb_equivalence(a))
+        a = factor(a, greatest_bb_equivalence(a))
+        if a.n == before:
+            return a
 
 
 @dataclass(frozen=True)

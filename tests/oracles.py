@@ -71,16 +71,20 @@ def kernel_oracle(phi: BoolRel) -> Partition:
     return Partition(labels)
 
 
+def _members(vec: BoolVec) -> set:
+    return {i for i, bit in enumerate(vec.bits()) if bit}
+
+
 def step_states(a: Nfa, states: set, x: str) -> set:
     bits = a.delta[x].bits()
     return {j for i in states for j in range(a.n) if bits[i][j]}
 
 
 def accepts_oracle(a: Nfa, word) -> bool:
-    current = set(a.sigma.indices())
+    current = _members(a.sigma)
     for x in word:
         current = step_states(a, current, x)
-    return bool(current & set(a.tau.indices()))
+    return bool(current & _members(a.tau))
 
 
 def language_oracle(a: Nfa, maxlen: int) -> list:
@@ -95,18 +99,15 @@ def language_oracle(a: Nfa, maxlen: int) -> list:
 def right_language_oracle(a: Nfa, state: int, depth: int) -> set:
     """Words of length <= depth that can reach a terminal state from state."""
     out = set()
+    terminal = _members(a.tau)
     for length in range(depth + 1):
         for word in itertools.product(a.alphabet, repeat=length):
             current = {state}
             for x in word:
                 current = step_states(a, current, x)
-            if current & set(a.tau.indices()):
+            if current & terminal:
                 out.add(word)
     return out
-
-
-def _members(vec: BoolVec) -> set:
-    return {i for i, bit in enumerate(vec.bits()) if bit}
 
 
 def _edges(a: Nfa, x: str) -> set:

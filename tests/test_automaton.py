@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -302,6 +303,41 @@ def test_find_isomorphism_returns_lexicographically_least():
     ]
     assert len(candidates) > 1
     assert find_isomorphism(a, a) == min(candidates)
+
+
+def test_find_isomorphism_is_least_among_all_bijections():
+    # Unions of equal cycles leave every state the same color, so the search
+    # has to back out of images at the wrong distance or in the wrong cycle.
+    rng = random.Random(7)
+    for trial in range(60):
+        n = rng.randint(2, 7)
+        if trial % 2:
+            a = random_nfa(n, ("x",), 0.25, rng.randrange(1 << 30))
+        else:
+            k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
+            edges = [(i, i - i % k + (i + 1) % k) for i in range(n)]
+            delta = {"x": BoolRel.from_pairs(n, n, edges)}
+            cycles = Nfa(n, ("x",), delta, [1] * n, [0] * n)
+            a = _relabel(cycles, rng.sample(range(n), n))
+        b = _relabel(a, rng.sample(range(n), n))
+        expected = min(
+            p for p in itertools.permutations(range(n)) if is_isomorphism(a, b, p)
+        )
+        assert find_isomorphism(a, b) == expected
+
+
+def test_find_isomorphism_deeper_than_the_recursion_limit():
+    limit = 200
+    n = 2 * limit
+    chain = BoolRel.from_pairs(n, n, [(i, i + 1) for i in range(n - 1)])
+    a = Nfa(n, ("x",), {"x": chain}, [1] + [0] * (n - 1), [0] * (n - 1) + [1])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        phi = find_isomorphism(a, a)
+    finally:
+        sys.setrecursionlimit(old)
+    assert phi == tuple(range(n))
 
 
 def test_is_isomorphism_rejects_non_bijections():

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from nfabisim import equivalence
 from nfabisim.automaton import bounded_language, random_nfa
 from nfabisim.cli import (
     ParseError,
@@ -155,6 +156,25 @@ def test_cmd_check_pass_and_fail(capsys):
     assert "FAIL" in out and out.strip().endswith("VIOLATED")
 
 
+def test_cmd_check_condition_order_is_pinned(capsys):
+    # Every kind, both relations: the PASS/FAIL lines must keep their names,
+    # their order and their truth values byte for byte.
+    out = [
+        "# nfabisim check --kind K --relation fwd_phiR.rel fwd_a.nfa "
+        "fwd_b.nfa: stdout and exit code"
+    ]
+    for rel in ("fwd_phi1", "fwd_phi2"):
+        for kind in ("fs", "bs", "fb", "bb", "bfb", "fbb", "wfs", "wbs", "wfb", "wbb"):
+            code = main([
+                "check", "--kind", kind, "--relation", data(rel + ".rel"),
+                data("fwd_a.nfa"), data("fwd_b.nfa"),
+            ])
+            out.append(f"== {kind} {rel}")
+            out.append(capsys.readouterr().out + f"exit {code}")
+    with open(data("check_order.golden")) as fh:
+        assert "\n".join(out) + "\n" == fh.read()
+
+
 def test_cmd_check_weak_kind(tmp_path, capsys):
     rel = tmp_path / "mu.rel"
     rel.write_text("4 2\n10\n10\n01\n10\n")
@@ -264,6 +284,22 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code = main(["reduce", "--mode", "fb", str(bad)])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_internal_failure_exits_3(monkeypatch, capsys):
+    # A failed self-check is neither a negative verdict (1) nor bad input (2).
+    def disagree(a, b):
+        raise AssertionError("decision paths disagree: greatest-relation=True, "
+                             "factor-isomorphism=False")
+
+    monkeypatch.setattr(equivalence, "fb_equivalent", disagree)
+    code = main(["equiv", "--mode", "fb", data("fwd_a.nfa"), data("fwd_b.nfa")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "decision paths disagree" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_usage_error_exits_2(capsys):
