@@ -176,33 +176,46 @@ def reverse(a: Nfa) -> Nfa:
     )
 
 
+def _map(targets, cols: int) -> BoolRel:
+    """0/1 state map sending row i to column targets[i] (a class id, or the
+    image of i under a permutation)."""
+    return BoolRel(len(targets), cols, [1 << t for t in targets])
+
+
+def _image(a: Nfa, m: BoolRel) -> Nfa:
+    """Automaton over the columns of a 0/1 state map m, with
+    delta'_x = m^-1 o delta_x o m, sigma' = sigma o m and tau' = tau o m.
+    A class map gives the quotient, a partial injection a restriction, and a
+    bijection a relabelled copy."""
+    inv = inverse(m)
+    return Nfa(
+        m.cols,
+        a.alphabet,
+        {x: compose(inv, compose(r, m)) for x, r in a.delta.items()},
+        vec_rel(a.sigma, m),
+        vec_rel(a.tau, m),
+    )
+
+
+def _bijection(a: Nfa, b: Nfa, phi):
+    """State map of phi, or None unless phi is a bijection between the states
+    of two automata over the same alphabet set."""
+    if set(a.alphabet) != set(b.alphabet):
+        return None
+    if a.n != b.n or len(phi) != a.n or set(phi) != set(range(b.n)):
+        return None
+    return _map(phi, b.n)
+
+
 def factor(a: Nfa, e: Partition) -> Nfa:
     """Quotient automaton over the classes of an equivalence.
 
-    A class pair gets an x-transition when the saturated relation
-    E o delta_x o E holds between representatives; a class is initial or
-    terminal when a representative lies in sigma o E, resp. E o tau.
+    Class C steps to class D on x when some member of C steps to some member
+    of D; a class is initial or terminal when one of its members is.
     """
     if e.n != a.n:
         raise ValueError(f"partition covers {e.n} elements, automaton has {a.n}")
-    rel_e = e.to_relation()
-    reps = [members[0] for members in e.classes]
-    m = len(reps)
-    delta = {}
-    for x in a.alphabet:
-        saturated = compose(rel_e, compose(a.delta[x], rel_e))
-        delta[x] = BoolRel.from_bits(
-            [[saturated[r1, r2] for r2 in reps] for r1 in reps]
-        )
-    init = vec_rel(a.sigma, rel_e)
-    term = rel_vec(rel_e, a.tau)
-    return Nfa(
-        m,
-        a.alphabet,
-        delta,
-        [init[r] for r in reps],
-        [term[r] for r in reps],
-    )
+    return _image(a, _map(e.class_of, e.num_classes))
 
 
 def subautomaton(a: Nfa, keep) -> Nfa:
@@ -210,39 +223,17 @@ def subautomaton(a: Nfa, keep) -> Nfa:
     keep = _as_vec(keep, a.n)
     if keep.is_empty():
         raise ValueError("cannot restrict to the empty state set")
-    idx = keep.indices()
-    delta = {}
-    for x in a.alphabet:
-        rel = a.delta[x]
-        delta[x] = BoolRel.from_bits(
-            [[rel[i, j] for j in idx] for i in idx]
-        )
-    return Nfa(
-        len(idx),
-        a.alphabet,
-        delta,
-        [a.sigma[i] for i in idx],
-        [a.tau[i] for i in idx],
-    )
+    return _image(a, inverse(_map(keep.indices(), a.n)))
 
 
 def is_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     """Definition check: phi is a state bijection preserving transitions,
     initial states, and terminal states."""
-    if set(a.alphabet) != set(b.alphabet):
+    m = _bijection(a, b, phi)
+    if m is None:
         return False
-    if a.n != b.n or len(phi) != a.n or set(phi) != set(range(b.n)):
-        return False
-    for i in range(a.n):
-        if a.sigma[i] != b.sigma[phi[i]] or a.tau[i] != b.tau[phi[i]]:
-            return False
-    for x in a.alphabet:
-        ra, rb = a.delta[x], b.delta[x]
-        for i in range(a.n):
-            for j in range(a.n):
-                if ra[i, j] != rb[phi[i], phi[j]]:
-                    return False
-    return True
+    image = _image(a, m)
+    return (image.sigma, image.tau, image.delta) == (b.sigma, b.tau, b.delta)
 
 
 def _neighbour_lists(auto: Nfa):

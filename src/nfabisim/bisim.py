@@ -33,6 +33,7 @@ from .relcalc import (
     arrow_left,
     arrow_right,
     biarrow,
+    cokernel,
     compose,
     intersect,
     inverse,
@@ -57,7 +58,6 @@ __all__ = [
     "greatest_fb_equivalence",
     "greatest_bb_equivalence",
     "reachable_terminal_pairs",
-    "reachable_initial_pairs",
     "greatest_weak_forward_sim",
     "greatest_weak_forward_bisim",
     "greatest_weak_backward_bisim",
@@ -362,11 +362,6 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     return order
 
 
-def reachable_initial_pairs(a: Nfa, b: Nfa) -> list:
-    """Dual of reachable_terminal_pairs, over word-indexed initial vectors."""
-    return reachable_terminal_pairs(reverse(a), reverse(b))
-
-
 def _intersect_over_pairs(pairs, build) -> BoolRel:
     return functools.reduce(intersect, (build(ta, tb) for ta, tb in pairs))
 
@@ -401,7 +396,7 @@ def wfb_equivalence_bound(a: Nfa) -> Partition:
     agreeing on every reachable terminal vector.  Every equivalence below it
     is again a weak forward bisimulation; none above it is."""
     pairs = reachable_terminal_pairs(a, a)
-    return Partition.from_relation(_intersect_over_pairs(pairs, biarrow))
+    return cokernel(BoolRel(len(pairs), a.n, [ta.mask for ta, _ in pairs]))
 
 
 def wbb_equivalence_bound(a: Nfa) -> Partition:

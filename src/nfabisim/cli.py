@@ -325,13 +325,8 @@ def _cmd_determinize(args) -> int:
 def _cmd_gen(args) -> int:
     symbols = [s for s in args.alphabet.split(",") if s]
     if not symbols:
-        print("error: alphabet must list at least one symbol", file=sys.stderr)
-        return 2
-    try:
-        a = random_nfa(args.states, symbols, args.density, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("alphabet must list at least one symbol")
+    a = random_nfa(args.states, symbols, args.density, args.seed)
     sys.stdout.write(format_nfa(a))
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .automaton import (
     Nfa,
+    _bijection,
     _require_same_alphabet,
     bounded_language,
     factor,
@@ -169,14 +170,16 @@ def language_equivalent(a: Nfa, b: Nfa, maxlen: int) -> EquivVerdict:
 
 
 def _weak_signatures(a: Nfa, b: Nfa):
+    """Per-state columns of sigma stacked over the reachable terminal
+    vectors: state i's signature has bit 0 for sigma and bit k + 1 for the
+    k-th pair."""
     pairs = reachable_terminal_pairs(a, b)
-    sig_a = [
-        (a.sigma[i],) + tuple(ta[i] for ta, _ in pairs) for i in range(a.n)
-    ]
-    sig_b = [
-        (b.sigma[j],) + tuple(tb[j] for _, tb in pairs) for j in range(b.n)
-    ]
-    return sig_a, sig_b
+
+    def columns(auto, vecs):
+        rows = [auto.sigma.mask] + [v.mask for v in vecs]
+        return inverse(BoolRel(len(rows), auto.n, rows)).row_masks
+
+    return columns(a, [ta for ta, _ in pairs]), columns(b, [tb for _, tb in pairs])
 
 
 def weak_forward_isomorphism(a: Nfa, b: Nfa):
@@ -192,18 +195,14 @@ def weak_forward_isomorphism(a: Nfa, b: Nfa):
     if a.n != b.n:
         return None
     sig_a, sig_b = _weak_signatures(a, b)
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    # Each group lists its states highest first, so pop() hands them out in
+    # increasing index order.
     groups_b = {}
-    for j in range(b.n):
+    for j in reversed(range(b.n)):
         groups_b.setdefault(sig_b[j], []).append(j)
-    image = [None] * a.n
-    taken = {sig: 0 for sig in groups_b}
-    for i in range(a.n):
-        candidates = groups_b.get(sig_a[i])
-        if candidates is None or taken[sig_a[i]] >= len(candidates):
-            return None
-        image[i] = candidates[taken[sig_a[i]]]
-        taken[sig_a[i]] += 1
-    phi = tuple(image)
+    phi = tuple(groups_b[sig].pop() for sig in sig_a)
     if not is_weak_forward_isomorphism(a, b, phi):
         raise AssertionError("signature matching produced an invalid mapping")
     return phi
@@ -211,18 +210,12 @@ def weak_forward_isomorphism(a: Nfa, b: Nfa):
 
 def is_weak_forward_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     """Definition check for weak forward isomorphisms."""
-    if set(a.alphabet) != set(b.alphabet):
-        return False
-    if a.n != b.n or len(phi) != a.n or set(phi) != set(range(b.n)):
-        return False
-    for i in range(a.n):
-        if a.sigma[i] != b.sigma[phi[i]]:
-            return False
-    for ta, tb in reachable_terminal_pairs(a, b):
-        for i in range(a.n):
-            if ta[i] != tb[phi[i]]:
-                return False
-    return True
+    m = _bijection(a, b, phi)
+    return (
+        m is not None
+        and vec_rel(a.sigma, m) == b.sigma
+        and all(vec_rel(ta, m) == tb for ta, tb in reachable_terminal_pairs(a, b))
+    )
 
 
 _EQUIVALENCES = {

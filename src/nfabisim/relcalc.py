@@ -456,9 +456,6 @@ class Partition:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def same_class(self, a: int, b: int) -> bool:
-        return self.class_of[a] == self.class_of[b]
-
     def refines(self, other: "Partition") -> bool:
         """True when every class of self lies inside a class of other."""
         if self.n != other.n:

@@ -115,6 +115,65 @@ def _edges(a: Nfa, x: str) -> set:
     return {(i, j) for i in range(a.n) for j in range(a.n) if bits[i][j]}
 
 
+def _automaton(n, alphabet, edges, initial, terminal) -> Nfa:
+    """Automaton over states 0..n-1 from explicit edge and state sets."""
+    return Nfa(
+        n,
+        alphabet,
+        {x: BoolRel.from_pairs(n, n, edges[x]) for x in alphabet},
+        [1 if q in initial else 0 for q in range(n)],
+        [1 if q in terminal else 0 for q in range(n)],
+    )
+
+
+def factor_oracle(a: Nfa, e: Partition) -> Nfa:
+    """Quotient by the definition: class C steps to class D on x when some
+    member of C steps to some member of D; a class is initial (terminal)
+    when one of its members is."""
+    cls = e.class_of
+    return _automaton(
+        e.num_classes,
+        a.alphabet,
+        {x: {(cls[p], cls[q]) for p, q in _edges(a, x)} for x in a.alphabet},
+        {cls[p] for p in _members(a.sigma)},
+        {cls[p] for p in _members(a.tau)},
+    )
+
+
+def subautomaton_oracle(a: Nfa, keep) -> Nfa:
+    """Restriction by the definition: the kept states, renumbered in
+    increasing order, with the edges and boundary states among them."""
+    kept = sorted(keep)
+    new = {p: k for k, p in enumerate(kept)}
+    return _automaton(
+        len(kept),
+        a.alphabet,
+        {
+            x: {(new[p], new[q]) for p, q in _edges(a, x) if p in new and q in new}
+            for x in a.alphabet
+        },
+        {new[p] for p in _members(a.sigma) if p in new},
+        {new[p] for p in _members(a.tau) if p in new},
+    )
+
+
+def isomorphism_oracle(a: Nfa, b: Nfa, phi) -> bool:
+    """Whether phi maps the states of A one-to-one onto those of B, carrying
+    every edge, initial state and terminal state exactly onto B's."""
+    if set(a.alphabet) != set(b.alphabet) or a.n != b.n:
+        return False
+    if sorted(phi) != list(range(b.n)):
+        return False
+    return (
+        {phi[p] for p in _members(a.sigma)} == _members(b.sigma)
+        and {phi[p] for p in _members(a.tau)} == _members(b.tau)
+        and all(
+            {(phi[p], phi[q]) for p, q in _edges(a, x)} == _edges(b, x)
+            for x in a.alphabet
+        )
+    )
+
+
 def bfb_violations(a: Nfa, b: Nfa, phi: BoolRel) -> tuple:
     """Backward-forward bisimulation conditions that phi breaks, in order.
 

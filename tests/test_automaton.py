@@ -40,7 +40,15 @@ from goldens import (
     WEAK_B,
     WEAK_B_MOD,
 )
-from oracles import all_partitions, compose_oracle, language_oracle
+from oracles import (
+    all_partitions,
+    compose_oracle,
+    factor_oracle,
+    isomorphism_oracle,
+    language_oracle,
+    random_partition,
+    subautomaton_oracle,
+)
 
 
 def test_constructor_validation():
@@ -343,6 +351,57 @@ def test_find_isomorphism_deeper_than_the_recursion_limit():
 def test_is_isomorphism_rejects_non_bijections():
     assert not is_isomorphism(FWD_A, FWD_A, (0, 0, 1))
     assert not is_isomorphism(FWD_A, FWD_A, (0, 2, 1))
+
+
+def test_state_map_images_match_the_definitions():
+    # factor, subautomaton and is_isomorphism against set-based oracles that
+    # share no code with them: random partitions and nonempty subsets, then
+    # every permutation onto the automaton itself, onto a relabelled copy,
+    # onto that copy with its alphabet declared in another order and onto
+    # one-bit near-copies of it, and last a few non-bijections
+    rng = random.Random(2024)
+    positives = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        alphabet = ("x", "y", "z")[: rng.randint(1, 3)]
+        density = rng.choice([0.2, 0.4, 0.7])
+        a = random_nfa(n, alphabet, density, rng.randrange(1 << 30))
+        for _ in range(3):
+            e = random_partition(rng, n, rng.randint(1, n))
+            assert factor(a, e) == factor_oracle(a, e)
+            keep = rng.sample(range(n), rng.randint(1, n))
+            kept = subautomaton(a, BoolVec.from_indices(n, keep))
+            assert kept == subautomaton_oracle(a, keep)
+        perm = tuple(rng.sample(range(n), n))
+        copy = _relabel(a, perm)
+        shuffled = Nfa(n, alphabet[::-1], copy.delta, copy.sigma, copy.tau)
+        # near-copies that differ from the relabelled copy in one bit each
+        q, x = rng.randrange(n), rng.choice(alphabet)
+        bit = 1 << q
+        rows = list(copy.delta[x].row_masks)
+        rows[q] ^= 1 << rng.randrange(n)
+        moved = {**copy.delta, x: BoolRel(n, n, rows)}
+        near = [
+            Nfa(n, alphabet, copy.delta, BoolVec(n, copy.sigma.mask ^ bit), copy.tau),
+            Nfa(n, alphabet, copy.delta, copy.sigma, BoolVec(n, copy.tau.mask ^ bit)),
+            Nfa(n, alphabet, moved, copy.sigma, copy.tau),
+        ]
+        for b in [a, copy, shuffled] + near:
+            for phi in itertools.permutations(range(n)):
+                expected = isomorphism_oracle(a, b, phi)
+                assert is_isomorphism(a, b, phi) == expected
+                positives += expected
+        assert is_isomorphism(a, shuffled, perm)
+        broken = [perm[:-1], perm + (0,), perm[:-1] + (n,)]
+        if n > 1:
+            broken.append((perm[1],) + perm[1:])
+        for phi in broken:
+            assert not isomorphism_oracle(a, copy, phi)
+            assert not is_isomorphism(a, copy, phi)
+        other = Nfa(n, ("w",), {"w": BoolRel.empty(n, n)}, a.sigma, a.tau)
+        assert not is_isomorphism(a, other, perm)
+        assert not isomorphism_oracle(a, other, perm)
+    assert positives > 100
 
 
 # --- random generation --------------------------------------------------------------

@@ -265,6 +265,24 @@ def test_cmd_gen_bad_density(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--states", "3", "--alphabet", ","],
+         "alphabet must list at least one symbol"),
+        (["--states", "3", "--density", "2.0"],
+         "density must lie in [0, 1], got 2.0"),
+        (["--states", "0"], "automaton needs at least one state"),
+    ],
+)
+def test_cmd_gen_errors_print_one_line_and_exit_2(capsys, argv, message):
+    code = main(["gen"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cmd_selftest(capsys):
     code = main(["selftest", "--states", "3", "--seed", "2", "--trials", "5"])
     out = capsys.readouterr().out
