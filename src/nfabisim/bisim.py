@@ -1,10 +1,12 @@
 """Checkers and greatest-relation algorithms for all ten (bi)simulation kinds.
 
-The strong kinds are decided by a shrinking fixpoint over residuals: start
-from the largest relation compatible with the boundary vectors, intersect
-away violations symbol by symbol until stable, then test the two covering
-conditions that the fixpoint cannot enforce.  The weak kinds intersect arrow
-relations over the finitely many reachable boundary-vector pairs instead.
+The strong kinds are decided by the paper's shrinking fixpoint: start from
+the largest relation compatible with the boundary vectors, intersect it with
+its per-symbol residual bounds round by round until stable, then test the two
+covering conditions that the fixpoint cannot enforce.  Each round reads the
+bounds pair by pair and re-examines only the pairs whose neighbours lost a
+pair in the round before.  The weak kinds intersect arrow relations over the
+finitely many reachable boundary-vector pairs instead.
 
 Condition names used in reports:
 
@@ -23,6 +25,7 @@ checked as its forward dual on the reversed automata.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +33,7 @@ from .automaton import Nfa, _require_same_alphabet, reverse
 from .relcalc import (
     BoolRel,
     Partition,
+    _bit_indices,
     arrow_left,
     arrow_right,
     biarrow,
@@ -38,8 +42,6 @@ from .relcalc import (
     intersect,
     inverse,
     rel_vec,
-    residual_left,
-    residual_right,
     subset_of,
     vec_rel,
 )
@@ -233,47 +235,154 @@ def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
     return CheckResult(kind, all(ok for _, ok in conds), tuple(conds))
 
 
-def _shrink(phi: BoolRel, symbols, bounds) -> list:
-    """Intersect phi with both per-symbol bounds until two consecutive
-    relations coincide; stops early once the candidate is empty, since the
-    empty relation can only shrink to itself."""
+def _neighbours(a: Nfa, symbols, backward: bool) -> list:
+    """Per symbol: each state's x-successors (x-predecessors when backward)
+    as index lists and as masks, and the masks of the opposite direction,
+    whose union over a set of states is that set's preimage."""
+    out = []
+    for x in symbols:
+        succ, pred = a.delta[x].row_masks, inverse(a.delta[x]).row_masks
+        near, back = (pred, succ) if backward else (succ, pred)
+        out.append(([list(_bit_indices(m)) for m in near], near, back))
+    return out
+
+
+def _union(masks, indices) -> int:
+    """Union of masks[i] over the given indices."""
+    return functools.reduce(operator.or_, map(masks.__getitem__, indices), 0)
+
+
+def _transpose(lines: dict) -> dict:
+    """Pairs given as {i: mask of j}, returned as {j: mask of i}."""
+    out = {}
+    for i, m in lines.items():
+        bit = 1 << i
+        for j in _bit_indices(m):
+            out[j] = out.get(j, 0) | bit
+    return out
+
+
+def _failures(lines, cand, near, far, top) -> dict:
+    """Candidate pairs (i, j), as a mask of j per line i, for which some
+    symbol breaks N(j) <= union of lines[u] over u in N(i).
+
+    near and far are the neighbours (see ``_neighbours``) of the line side
+    and of the other side.  A line's failing set is the preimage of the
+    union's complement when that complement has fewer bits than the
+    candidates left, and is tested candidate by candidate otherwise."""
+    out = {}
+    for i, left in cand.items():
+        fail = 0
+        for (lists, _, _), (_, masks, back) in zip(near, far):
+            miss = top & ~_union(lines, lists[i])
+            if not miss:
+                continue
+            if miss.bit_count() < left.bit_count():
+                hit = left & _union(back, _bit_indices(miss))
+            else:
+                hit = 0
+                for j in _bit_indices(left):
+                    if masks[j] & miss:
+                        hit |= 1 << j
+            fail |= hit
+            left ^= hit
+            if not left:
+                break
+        if fail:
+            out[i] = fail
+    return out
+
+
+# The conditions of one fixpoint, one (over_columns, backward) row each.  For
+# a pair (a, b) and every symbol x, with N(a) and N(b) the x-successors of a
+# and b (x-predecessors when backward), the pair stays in the next round when
+#   over rows:    N(b) <= union of row u of phi over u in N(a)
+#   over columns: N(a) <= union of column v of phi over v in N(b)
+# Over rows on successors is the bound residual_left(delta_A o phi, delta_B);
+# over columns on successors is inverse(residual_left(delta_B o phi^-1,
+# delta_A)) and on predecessors residual_right(phi o delta_B, delta_A).
+_FB_CONDITIONS = ((False, False), (True, False))
+_BFB_CONDITIONS = ((False, False), (True, True))
+
+
+def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa, conditions) -> list:
+    """The shrinking sequence phi_0, phi_1, ... of the paper's fixpoint,
+    from phi = phi_0 and phi_inv = phi_0^-1.
+
+    Each round removes, all at once, the pairs of phi_k that break a
+    condition against phi_k; the sequence ends once a round removes nothing
+    (its last two relations coincide) or phi is empty.  A condition at
+    (a, b) reads phi only on N(a) x N(b), so after the first round, which
+    examines all of phi_0, a round examines only the pairs that have a
+    neighbour pair removed in the round before.
+    """
+    _require_same_alphabet(a, b)
+    nbrs = {
+        backward: (
+            _neighbours(a, a.alphabet, backward),
+            _neighbours(b, a.alphabet, backward),
+        )
+        for backward in {backward for _, backward in conditions}
+    }
+    top_a, top_b = (1 << a.n) - 1, (1 << b.n) - 1
+    rows = list(phi.row_masks)
+    cols = list(phi_inv.row_masks)
+    cand = {i: m for i, m in enumerate(rows) if m}
+    cand_cols = {j: m for j, m in enumerate(cols) if m}
+    deps = [
+        (back_a, back_b)
+        for side_a, side_b in nbrs.values()
+        for (_, _, back_a), (_, _, back_b) in zip(side_a, side_b)
+    ]
     seq = [phi]
-    while not phi.is_empty():
-        nxt = phi
-        for x in symbols:
-            first, second = bounds(x, phi)
-            nxt = intersect(nxt, intersect(first, second))
-        seq.append(nxt)
-        if nxt == phi:
+    while any(rows):
+        removed = {}
+        for over_columns, backward in conditions:
+            side_a, side_b = nbrs[backward]
+            if over_columns:
+                found = _transpose(_failures(cols, cand_cols, side_b, side_a, top_a))
+            else:
+                found = _failures(rows, cand, side_a, side_b, top_b)
+            for i, m in found.items():
+                removed[i] = removed.get(i, 0) | m
+        # One pass over each removed row applies it to the column masks and
+        # marks its neighbour pairs as the next round's candidates.
+        cand = {}
+        for i, m in removed.items():
+            rows[i] &= ~m
+            bit = 1 << i
+            # A list, not a tuple: CPython keeps freed small tuples on free
+            # lists, which measurably raised peak memory.
+            removed_at = list(_bit_indices(m))
+            for j in removed_at:
+                cols[j] &= ~bit
+            for back_a, back_b in deps:
+                pre = _union(back_b, removed_at)
+                if pre:
+                    for k in _bit_indices(back_a[i]):
+                        cand[k] = cand.get(k, 0) | pre
+        seq.append(BoolRel(a.n, b.n, rows))
+        if not removed:
             break
-        phi = nxt
+        cand = {i: m & rows[i] for i, m in cand.items() if m & rows[i]}
+        cand_cols = _transpose(cand)
     return seq
 
 
 def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     """Shrinking candidate sequence for the greatest forward bisimulation,
     starting from the terminal-agreement relation."""
-    _require_same_alphabet(a, b)
     return _shrink(
-        biarrow(a.tau, b.tau),
-        a.alphabet,
-        lambda x, phi: (
-            inverse(residual_left(compose(b.delta[x], inverse(phi)), a.delta[x])),
-            residual_left(compose(a.delta[x], phi), b.delta[x]),
-        ),
+        biarrow(a.tau, b.tau), biarrow(b.tau, a.tau), a, b, _FB_CONDITIONS
     )
 
 
 def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     """Candidate sequence for the greatest backward-forward bisimulation."""
-    _require_same_alphabet(a, b)
     return _shrink(
         intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau)),
-        a.alphabet,
-        lambda x, phi: (
-            residual_left(compose(a.delta[x], phi), b.delta[x]),
-            residual_right(compose(phi, b.delta[x]), a.delta[x]),
-        ),
+        intersect(arrow_left(b.sigma, a.sigma), arrow_right(b.tau, a.tau)),
+        a, b, _BFB_CONDITIONS,
     )
 
 

@@ -11,7 +11,8 @@ Automaton files (UTF-8, ``#`` starts a comment):
 
 The four header sections are mandatory and appear once, in that order;
 ``initial`` and ``terminal`` may list no states.  One optional transition
-line per declared symbol follows, transitions written ``src->dst``.
+line per declared symbol follows, transitions written ``src->dst``.  A file
+may declare at most ``MAX_STATES`` states.
 
 Relation files carry a ``rows cols`` header followed by one 0/1 string per
 row.
@@ -45,6 +46,7 @@ from .relcalc import BoolRel
 from . import selftest as _selftest_mod
 
 __all__ = [
+    "MAX_STATES",
     "ParseError",
     "parse_nfa",
     "format_nfa",
@@ -53,6 +55,12 @@ __all__ = [
     "format_dfa",
     "main",
 ]
+
+
+# Largest state count an automaton file may declare.  The header is checked
+# before anything is allocated; at this size one dense relation between two
+# automata (n x n bits) takes 32 MB.
+MAX_STATES = 1 << 14
 
 
 class ParseError(ValueError):
@@ -113,6 +121,10 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
         raise ParseError(source, lineno, f"bad state count {fields[0]!r}")
     if n < 1:
         raise ParseError(source, lineno, "state count must be at least 1")
+    if n > MAX_STATES:
+        raise ParseError(
+            source, lineno, f"state count {n} exceeds the limit of {MAX_STATES}"
+        )
 
     lineno, symbols = take("alphabet")
     if not symbols:

@@ -214,6 +214,82 @@ def bfb_oracle(a: Nfa, b: Nfa, phi: BoolRel) -> bool:
     return not bfb_violations(a, b, phi)
 
 
+def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
+    """The paper's shrinking sequence phi_0, phi_1, ... for kind "fb" or "bfb".
+
+    With R / S the left residual (the greatest psi with psi o S <= R) and
+    S \\ R the right residual (the greatest psi with S o psi <= R), each round
+    intersects over every symbol x:
+
+        fb:  phi_{k+1} = phi_k & ((d_B^x o phi_k^-1) / d_A^x)^-1
+                               & ((d_A^x o phi_k) / d_B^x)
+        bfb: phi_{k+1} = phi_k & ((d_A^x o phi_k) / d_B^x)
+                               & (d_A^x \\ (phi_k o d_B^x))
+
+    from phi_0 = terminal agreement (fb), or sigma_A -> sigma_B intersected
+    with tau_A <- tau_B (bfb).  The sequence ends when a round changes
+    nothing (its last two entries are equal) or phi is empty.  Every bound
+    is written pair by pair over explicit edge and state sets.
+    """
+    sigma_a, tau_a = _members(a.sigma), _members(a.tau)
+    sigma_b, tau_b = _members(b.sigma), _members(b.tau)
+    edges = [(_edges(a, x), _edges(b, x)) for x in a.alphabet]
+    every = [(p, q) for p in range(a.n) for q in range(b.n)]
+    if kind == "fb":
+        pairs = {(p, q) for p, q in every if (p in tau_a) == (q in tau_b)}
+    elif kind == "bfb":
+        pairs = {
+            (p, q) for p, q in every
+            if (p not in sigma_a or q in sigma_b) and (q not in tau_b or p in tau_a)
+        }
+    else:
+        raise ValueError(f"unknown fixpoint kind {kind!r}")
+
+    def stays(p, q, phi):
+        for ea, eb in edges:
+            # (d_A^x o phi) / d_B^x: every q -x-> q2 has some p -x-> p2, p2 phi q2
+            if not all(
+                any((p2, q2) in phi for p_from, p2 in ea if p_from == p)
+                for q_from, q2 in eb if q_from == q
+            ):
+                return False
+            if kind == "fb":
+                # every p -x-> p2 has some q -x-> q2 with p2 phi q2
+                partners = [
+                    any((p2, q2) in phi for q_from, q2 in eb if q_from == q)
+                    for p_from, p2 in ea if p_from == p
+                ]
+            else:
+                # every p0 -x-> p has some q0 -x-> q with p0 phi q0
+                partners = [
+                    any((p0, q0) in phi for q0, q_to in eb if q_to == q)
+                    for p0, p_to in ea if p_to == p
+                ]
+            if not all(partners):
+                return False
+        return True
+
+    seq = [pairs]
+    while pairs:
+        nxt = {(p, q) for p, q in pairs if stays(p, q, pairs)}
+        seq.append(nxt)
+        if nxt == pairs:
+            break
+        pairs = nxt
+    return [BoolRel.from_pairs(a.n, b.n, phi) for phi in seq]
+
+
+def reverse_oracle(a: Nfa) -> Nfa:
+    """Every edge turned round, initial and terminal states swapped."""
+    return _automaton(
+        a.n,
+        a.alphabet,
+        {x: {(q, p) for p, q in _edges(a, x)} for x in a.alphabet},
+        _members(a.tau),
+        _members(a.sigma),
+    )
+
+
 def all_relations(rows: int, cols: int, include_empty: bool = False):
     start = 0 if include_empty else 1
     for code in range(start, 1 << rows * cols):

@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfabisim.automaton import Nfa, bounded_language, random_nfa, reverse
 from nfabisim.bisim import (
@@ -54,6 +57,8 @@ from oracles import (
     all_partitions,
     all_relations,
     bfb_violations,
+    fixpoint_steps_oracle,
+    reverse_oracle,
     right_language_oracle,
 )
 
@@ -270,6 +275,91 @@ def test_forward_backward_failure_names():
     assert rep.failure == ("terminal-forward",)
     dual = greatest_forward_backward_bisim(reverse(a), reverse(b))
     assert dual.failure == ("initial-forward",)
+
+
+# --- the fixpoint rounds against the paper's residual round ----------------------
+
+
+def _line(n, closed, alphabet=("a", "b")):
+    """A chain (a ring when closed) stepping on the first symbol, with every
+    other symbol looping on every state; a ring's state 0 is initial and
+    terminal, a chain runs from 0 to n - 1."""
+    step = [(q, q + 1) for q in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    delta = {alphabet[0]: BoolRel.from_pairs(n, n, step)}
+    for x in alphabet[1:]:
+        delta[x] = BoolRel.identity(n)
+    return Nfa(n, alphabet, delta, [q == 0 for q in range(n)],
+               [q == (0 if closed else n - 1) for q in range(n)])
+
+
+@st.composite
+def _automata(draw, alphabet):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        return _line(n, draw(st.booleans()), alphabet)
+    n = draw(st.integers(1, 6))
+    states = st.integers(0, n - 1)
+    delta = {
+        x: BoolRel.from_pairs(n, n, draw(st.sets(st.tuples(states, states))))
+        for x in alphabet
+    }
+    sigma, tau = draw(st.sets(states)), draw(st.sets(states))
+    return Nfa(n, alphabet, delta, [q in sigma for q in range(n)],
+               [q in tau for q in range(n)])
+
+
+@st.composite
+def _automaton_pairs(draw):
+    alphabet = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    a = draw(_automata(alphabet))
+    return a, draw(_automata(tuple(draw(st.permutations(alphabet)))))
+
+
+# An empty phi_0 for both kinds, and a run that empties in its second round.
+_EMPTY_START = (Nfa(1, ("a",), {"a": [[0]]}, [1], [1]),
+                Nfa(1, ("a",), {"a": [[0]]}, [0], [0]))
+_EMPTIES_LATE = (Nfa(2, ("a",), {"a": [[0, 1], [0, 0]]}, [1, 0], [1, 1]),
+                 Nfa(1, ("a",), {"a": [[1]]}, [1], [1]))
+
+
+def test_fixpoint_corner_examples_are_what_they_claim():
+    for kind in ("fb", "bfb"):
+        assert [s.count() for s in fixpoint_steps_oracle(kind, *_EMPTY_START)] == [0]
+        assert [s.count() for s in fixpoint_steps_oracle(kind, *_EMPTIES_LATE)] == [
+            2, 1, 0
+        ]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_automaton_pairs())
+@example(_EMPTY_START)
+@example(_EMPTIES_LATE)
+def test_fixpoint_steps_are_the_paper_rounds(pair):
+    a, b = pair
+    assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
+    assert backward_forward_bisim_steps(a, b) == fixpoint_steps_oracle("bfb", a, b)
+    # bb and fbb are the same rounds run on the reversed automata
+    for greatest, kind in ((greatest_backward_bisim, "fb"),
+                           (greatest_forward_backward_bisim, "bfb")):
+        steps = fixpoint_steps_oracle(kind, reverse_oracle(a), reverse_oracle(b))
+        rep = greatest(a, b)
+        assert rep.iterations == len(steps) - 1
+        assert rep.relation is None or rep.relation == steps[-1]
+
+
+@pytest.mark.parametrize(
+    "greatest, closed, rounds",
+    [(greatest_forward_bisim, False, 255),
+     (greatest_backward_forward_bisim, True, 128)],
+    ids=["fb-chain", "bfb-ring"],
+)
+def test_fixpoint_on_256_states_takes_seconds(greatest, closed, rounds):
+    a = _line(256, closed)
+    start = time.perf_counter()
+    rep = greatest(a, a)
+    assert time.perf_counter() - start < 10
+    assert rep.relation == BoolRel.identity(256)
+    assert rep.iterations == rounds
 
 
 # --- empty fixpoint corners ------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from nfabisim import equivalence
 from nfabisim.automaton import bounded_language, random_nfa
 from nfabisim.cli import (
+    MAX_STATES,
     ParseError,
     format_dfa,
     format_nfa,
@@ -302,6 +303,25 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code = main(["reduce", "--mode", "fb", str(bad)])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_state_count_limit_is_inclusive():
+    header = f"states {MAX_STATES}\nalphabet x\ninitial 0\nterminal\n"
+    assert parse_nfa(header).n == MAX_STATES
+
+
+@pytest.mark.parametrize("n", [MAX_STATES + 1, 10**9])
+def test_state_count_over_the_limit_exits_2(tmp_path, capsys, n):
+    # Rejected on the header alone: nothing is sized by n before the check.
+    bad = tmp_path / "big.nfa"
+    bad.write_text(f"states {n}\nalphabet x\ninitial 0\nterminal\n")
+    code = main(["determinize", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {bad}:1: state count {n} exceeds the limit of {MAX_STATES}\n"
+    )
 
 
 def test_internal_failure_exits_3(monkeypatch, capsys):
