@@ -246,15 +246,14 @@ def _neighbour_lists(auto: Nfa):
     return succ, pred
 
 
-def _stable_colors(a: Nfa, b: Nfa):
-    """Iterated degree refinement shared across both automata.
+def _stable_colors(a: Nfa, b: Nfa, nbrs_a, nbrs_b):
+    """Iterated degree refinement shared across both automata, over their
+    ``_neighbour_lists``.
 
     Returns stable color arrays, or None as soon as the color histograms
     diverge (then no isomorphism can exist).
     """
     symbols = a.alphabet
-    succ_a, pred_a = _neighbour_lists(a)
-    succ_b, pred_b = _neighbour_lists(b)
     table = {}
 
     def assign(sig):
@@ -283,8 +282,8 @@ def _stable_colors(a: Nfa, b: Nfa):
         if Counter(ca) != Counter(cb):
             return None
         table.clear()
-        na = recolor(ca, succ_a, pred_a, a.n)
-        nb = recolor(cb, succ_b, pred_b, b.n)
+        na = recolor(ca, *nbrs_a, a.n)
+        nb = recolor(cb, *nbrs_b, b.n)
         stable = len(set(na)) == len(set(ca)) and len(set(nb)) == len(set(cb))
         ca, cb = na, nb
         if stable:
@@ -300,46 +299,67 @@ def find_isomorphism(a: Nfa, b: Nfa):
     Color refinement prunes the candidate images, then a backtracking
     assignment tries states in index order and images in increasing order,
     so the returned bijection has the lexicographically least image sequence
-    among all isomorphisms.  The search keeps its own stack, so its depth
-    is not bounded by the interpreter's recursion limit.  Returns None when
-    the automata are not isomorphic.
+    among all isomorphisms.  A candidate image j of state i is checked only
+    against i's own edges: per symbol, the images of i's successors and
+    predecessors placed so far (and i itself) must be exactly j's successors
+    and predecessors among the placed images and j.  The search keeps its
+    own stack, so its depth is not bounded by the interpreter's recursion
+    limit.  Returns None when the automata are not isomorphic.
     """
     _require_same_alphabet(a, b)
     if a.n != b.n:
         return None
-    colors = _stable_colors(a, b)
+    nbrs_a, nbrs_b = _neighbour_lists(a), _neighbour_lists(b)
+    colors = _stable_colors(a, b, nbrs_a, nbrs_b)
     if colors is None:
         return None
     ca, cb = colors
-    image = []
-    used = [False] * b.n
+    buckets = {}
+    for j, c in enumerate(cb):
+        buckets.setdefault(c, []).append(j)
+    # Per symbol: A's successor lists, A's predecessor lists, and B's
+    # successor and predecessor masks in the same order.
+    lists_a = [nbrs[x] for x in a.alphabet for nbrs in nbrs_a]
+    masks_b = [
+        rel.row_masks
+        for x in a.alphabet
+        for rel in (b.delta[x], inverse(b.delta[x]))
+    ]
+    image, tried = [], []
+    placed = 0
+    at = 0
 
-    def consistent(i, j):
-        if ca[i] != cb[j]:
-            return False
-        for x in a.alphabet:
-            ra, rb = a.delta[x], b.delta[x]
-            for i2 in range(i + 1):
-                j2 = image[i2] if i2 < i else j
-                if ra[i, i2] != rb[j, j2] or ra[i2, i] != rb[j2, j]:
-                    return False
+    def fits(i, j):
+        seen = placed | 1 << j
+        for lists, masks in zip(lists_a, masks_b):
+            want = 0
+            for t in lists[i]:
+                if t < i:
+                    want |= 1 << image[t]
+                elif t == i:
+                    want |= 1 << j
+            if masks[j] & seen != want:
+                return False
         return True
 
-    # ``image`` is the stack: extend it with the least consistent unused image
-    # from j on, or pop its top and resume the search just above it.
-    j = 0
+    # ``image`` is the stack, ``tried`` the bucket position of each entry:
+    # extend it with the least fitting unused image in i's bucket from
+    # position ``at`` on, or pop its top and resume just after it.
     while len(image) < a.n:
         i = len(image)
-        while j < b.n and (used[j] or not consistent(i, j)):
-            j += 1
-        if j < b.n:
-            image.append(j)
-            used[j] = True
-            j = 0
+        bucket = buckets[ca[i]]
+        while at < len(bucket) and (
+            placed >> bucket[at] & 1 or not fits(i, bucket[at])
+        ):
+            at += 1
+        if at < len(bucket):
+            image.append(bucket[at])
+            tried.append(at)
+            placed |= 1 << bucket[at]
+            at = 0
         elif image:
-            j = image.pop()
-            used[j] = False
-            j += 1
+            placed ^= 1 << image.pop()
+            at = tried.pop() + 1
         else:
             return None
     phi = tuple(image)

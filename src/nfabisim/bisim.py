@@ -3,10 +3,13 @@
 The strong kinds are decided by the paper's shrinking fixpoint: start from
 the largest relation compatible with the boundary vectors, intersect it with
 its per-symbol residual bounds round by round until stable, then test the two
-covering conditions that the fixpoint cannot enforce.  Each round reads the
-bounds pair by pair and re-examines only the pairs whose neighbours lost a
-pair in the round before.  The weak kinds intersect arrow relations over the
-finitely many reachable boundary-vector pairs instead.
+covering conditions that the fixpoint cannot enforce.  For fb (and bb, fb on
+the reversed automata) every round is one pass of partition refinement over
+the disjoint union of the two automata.  For bfb (and fbb) each round reads
+the bounds pair by pair and re-examines only the pairs whose neighbours lost
+a pair in the round before.  Both return the paper's exact sequence of
+relations.  The weak kinds intersect arrow relations over the finitely many
+reachable boundary-vector pairs instead.
 
 Condition names used in reports:
 
@@ -293,37 +296,29 @@ def _failures(lines, cand, near, far, top) -> dict:
     return out
 
 
-# The conditions of one fixpoint, one (over_columns, backward) row each.  For
-# a pair (a, b) and every symbol x, with N(a) and N(b) the x-successors of a
-# and b (x-predecessors when backward), the pair stays in the next round when
-#   over rows:    N(b) <= union of row u of phi over u in N(a)
-#   over columns: N(a) <= union of column v of phi over v in N(b)
-# Over rows on successors is the bound residual_left(delta_A o phi, delta_B);
-# over columns on successors is inverse(residual_left(delta_B o phi^-1,
-# delta_A)) and on predecessors residual_right(phi o delta_B, delta_A).
-_FB_CONDITIONS = ((False, False), (True, False))
-_BFB_CONDITIONS = ((False, False), (True, True))
+def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
+    """The paper's shrinking sequence phi_0, phi_1, ... for the greatest
+    backward-forward bisimulation, from phi = phi_0 and phi_inv = phi_0^-1.
 
-
-def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa, conditions) -> list:
-    """The shrinking sequence phi_0, phi_1, ... of the paper's fixpoint,
-    from phi = phi_0 and phi_inv = phi_0^-1.
+    For every symbol x, with S and P the x-successors and x-predecessors, a
+    pair (a, b) stays in the next round when
+      over rows:    S(b) <= union of row u of phi over u in S(a)
+      over columns: P(a) <= union of column v of phi over v in P(b)
+    which are the bounds residual_left(delta_A o phi, delta_B) and
+    residual_right(phi o delta_B, delta_A).  A bfb is not an equivalence, so
+    unlike the forward rounds (``forward_bisim_steps``) this fixpoint removes
+    pairs, not blocks.
 
     Each round removes, all at once, the pairs of phi_k that break a
     condition against phi_k; the sequence ends once a round removes nothing
     (its last two relations coincide) or phi is empty.  A condition at
-    (a, b) reads phi only on N(a) x N(b), so after the first round, which
-    examines all of phi_0, a round examines only the pairs that have a
-    neighbour pair removed in the round before.
+    (a, b) reads phi only on S(a) x S(b) and P(a) x P(b), so after the first
+    round, which examines all of phi_0, a round examines only the pairs that
+    have a neighbour pair removed in the round before.
     """
     _require_same_alphabet(a, b)
-    nbrs = {
-        backward: (
-            _neighbours(a, a.alphabet, backward),
-            _neighbours(b, a.alphabet, backward),
-        )
-        for backward in {backward for _, backward in conditions}
-    }
+    succ_a, pred_a = (_neighbours(a, a.alphabet, back) for back in (False, True))
+    succ_b, pred_b = (_neighbours(b, a.alphabet, back) for back in (False, True))
     top_a, top_b = (1 << a.n) - 1, (1 << b.n) - 1
     rows = list(phi.row_masks)
     cols = list(phi_inv.row_masks)
@@ -331,20 +326,15 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa, conditions) -> list:
     cand_cols = {j: m for j, m in enumerate(cols) if m}
     deps = [
         (back_a, back_b)
-        for side_a, side_b in nbrs.values()
+        for side_a, side_b in ((succ_a, succ_b), (pred_a, pred_b))
         for (_, _, back_a), (_, _, back_b) in zip(side_a, side_b)
     ]
     seq = [phi]
     while any(rows):
-        removed = {}
-        for over_columns, backward in conditions:
-            side_a, side_b = nbrs[backward]
-            if over_columns:
-                found = _transpose(_failures(cols, cand_cols, side_b, side_a, top_a))
-            else:
-                found = _failures(rows, cand, side_a, side_b, top_b)
-            for i, m in found.items():
-                removed[i] = removed.get(i, 0) | m
+        removed = _failures(rows, cand, succ_a, succ_b, top_b)
+        found = _transpose(_failures(cols, cand_cols, pred_b, pred_a, top_a))
+        for i, m in found.items():
+            removed[i] = removed.get(i, 0) | m
         # One pass over each removed row applies it to the column masks and
         # marks its neighbour pairs as the next round's candidates.
         cand = {}
@@ -369,12 +359,44 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa, conditions) -> list:
     return seq
 
 
+def _same_block(block: list, n_a: int, n_b: int) -> BoolRel:
+    """The pairs of A x B whose states share a block of A+B (A's states
+    first), each row read off one B-mask per block."""
+    masks = {}
+    for j, k in enumerate(block[n_a:]):
+        masks[k] = masks.get(k, 0) | 1 << j
+    return BoolRel(n_a, n_b, [masks.get(k, 0) for k in block[:n_a]])
+
+
 def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
-    """Shrinking candidate sequence for the greatest forward bisimulation,
-    starting from the terminal-agreement relation."""
-    return _shrink(
-        biarrow(a.tau, b.tau), biarrow(b.tau, a.tau), a, b, _FB_CONDITIONS
-    )
+    """The paper's shrinking sequence phi_0, phi_1, ... for the greatest
+    forward bisimulation, from the terminal-agreement relation phi_0.
+
+    The successors of A's states lie in A and those of B's in B, so phi_k is
+    k-step bisimilarity on the disjoint union A+B restricted to A x B.  Each
+    round is one pass of naive partition refinement over the a.n + b.n
+    states: two states share a block after round k + 1 when they shared one
+    after round k and, per symbol, their successors meet the same blocks.
+    The sequence ends as the paper's does, once phi repeats or is empty,
+    even while blocks inside A or inside B still split.
+    """
+    _require_same_alphabet(a, b)
+    succ = [
+        [list(_bit_indices(m)) for m in a.delta[x].row_masks]
+        + [[a.n + j for j in _bit_indices(m)] for m in b.delta[x].row_masks]
+        for x in a.alphabet
+    ]
+    block = [a.tau.mask >> i & 1 for i in range(a.n)]
+    block += [b.tau.mask >> j & 1 for j in range(b.n)]
+    seq = [_same_block(block, a.n, b.n)]
+    while not seq[-1].is_empty():
+        sets = [[frozenset(map(block.__getitem__, t)) for t in s] for s in succ]
+        keys = {}
+        block = [keys.setdefault(key, len(keys)) for key in zip(block, *sets)]
+        seq.append(_same_block(block, a.n, b.n))
+        if seq[-1] == seq[-2]:
+            break
+    return seq
 
 
 def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
@@ -382,7 +404,7 @@ def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     return _shrink(
         intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau)),
         intersect(arrow_left(b.sigma, a.sigma), arrow_right(b.tau, a.tau)),
-        a, b, _BFB_CONDITIONS,
+        a, b,
     )
 
 

@@ -12,7 +12,7 @@ Automaton files (UTF-8, ``#`` starts a comment):
 The four header sections are mandatory and appear once, in that order;
 ``initial`` and ``terminal`` may list no states.  One optional transition
 line per declared symbol follows, transitions written ``src->dst``.  A file
-may declare at most ``MAX_STATES`` states.
+may declare, and ``gen`` may generate, at most ``MAX_STATES`` states.
 
 Relation files carry a ``rows cols`` header followed by one 0/1 string per
 row.
@@ -57,9 +57,9 @@ __all__ = [
 ]
 
 
-# Largest state count an automaton file may declare.  The header is checked
-# before anything is allocated; at this size one dense relation between two
-# automata (n x n bits) takes 32 MB.
+# Largest state count an automaton file may declare or ``gen`` may generate.
+# The count is checked before anything is allocated; at this size one dense
+# relation between two automata (n x n bits) takes 32 MB.
 MAX_STATES = 1 << 14
 
 
@@ -338,6 +338,10 @@ def _cmd_gen(args) -> int:
     symbols = [s for s in args.alphabet.split(",") if s]
     if not symbols:
         raise ValueError("alphabet must list at least one symbol")
+    if args.states > MAX_STATES:
+        raise ValueError(
+            f"state count {args.states} exceeds the limit of {MAX_STATES}"
+        )
     a = random_nfa(args.states, symbols, args.density, args.seed)
     sys.stdout.write(format_nfa(a))
     return 0

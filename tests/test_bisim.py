@@ -322,6 +322,17 @@ _EMPTIES_LATE = (Nfa(2, ("a",), {"a": [[0, 1], [0, 0]]}, [1, 0], [1, 1]),
                  Nfa(1, ("a",), {"a": [[1]]}, [1], [1]))
 
 
+# phi repeats after one round while the blocks of A+B still split inside B:
+# A's one state and B's state 0 are dead ends, B's states 1..5 form a chain
+# into the terminal state 6, and each round tells one more chain state apart.
+_STABLE_EARLY = (
+    Nfa(1, ("a",), {"a": [[0]]}, [1], [0]),
+    Nfa(7, ("a",),
+        {"a": BoolRel.from_pairs(7, 7, [(q, q + 1) for q in range(1, 6)])},
+        [q == 1 for q in range(7)], [q == 6 for q in range(7)]),
+)
+
+
 def test_fixpoint_corner_examples_are_what_they_claim():
     for kind in ("fb", "bfb"):
         assert [s.count() for s in fixpoint_steps_oracle(kind, *_EMPTY_START)] == [0]
@@ -330,10 +341,75 @@ def test_fixpoint_corner_examples_are_what_they_claim():
         ]
 
 
+def test_fb_steps_stop_when_phi_repeats_not_when_blocks_do():
+    a, b = _STABLE_EARLY
+    steps = fixpoint_steps_oracle("fb", a, b)
+    assert [s.count() for s in steps] == [6, 1, 1]
+    # Blocks inside B keep splitting: the rounds on B x B change phi for
+    # four rounds, three more than on A x B.
+    assert len(fixpoint_steps_oracle("fb", b, b)) == 6
+    assert forward_bisim_steps(a, b) == steps
+    # The same with the splitting side first.
+    assert forward_bisim_steps(b, a) == fixpoint_steps_oracle("fb", b, a)
+
+
+def _sparse(rng, n, alphabet):
+    """Random automaton with zero to two successors per state and symbol."""
+    delta = {
+        x: BoolRel.from_pairs(n, n, [(q, rng.randrange(n)) for q in range(n)
+                                     for _ in range(rng.randint(0, 2))])
+        for x in alphabet
+    }
+    return Nfa(n, alphabet, delta, [rng.random() < 0.3 for _ in range(n)],
+               [rng.random() < 0.3 for _ in range(n)])
+
+
+def _blown_up(rng, a, extra):
+    """A relabelled copy of a with ``extra`` more states, each one a copy of
+    a random state (same successors and terminal bit, so forward
+    bisimilar to it), declared over a shuffled alphabet order."""
+    n = a.n + extra
+    origin = list(range(a.n)) + [rng.randrange(a.n) for _ in range(extra)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    alphabet = list(a.alphabet)
+    rng.shuffle(alphabet)
+    delta = {
+        x: BoolRel.from_pairs(n, n, [
+            (perm[q], perm[t])
+            for q in range(n)
+            for t in a.delta[x].row(origin[q]).indices()
+        ])
+        for x in alphabet
+    }
+    tau = [False] * n
+    for q in range(n):
+        tau[perm[q]] = a.tau[origin[q]]
+    return Nfa(n, alphabet, delta, [False] * n, tau)
+
+
+def test_fb_steps_match_the_paper_rounds_on_larger_automata():
+    rng = random.Random(59)
+    for trial in range(40):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        a = _sparse(rng, rng.randint(8, 24), alphabet)
+        if trial % 2:
+            b = _blown_up(rng, a, rng.randint(1, 6))
+        else:
+            order = list(alphabet)
+            rng.shuffle(order)
+            b = _sparse(rng, rng.randint(8, 30), tuple(order))
+            if b.n == a.n:
+                b = _blown_up(rng, b, 1)
+        assert a.n != b.n
+        assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_automaton_pairs())
 @example(_EMPTY_START)
 @example(_EMPTIES_LATE)
+@example(_STABLE_EARLY)
 def test_fixpoint_steps_are_the_paper_rounds(pair):
     a, b = pair
     assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)

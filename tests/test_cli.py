@@ -284,6 +284,18 @@ def test_cmd_gen_errors_print_one_line_and_exit_2(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n", [MAX_STATES + 1, 10**9])
+def test_cmd_gen_over_the_state_limit_exits_2(capsys, n):
+    # Rejected before random_nfa draws its n x n bits per symbol.
+    code = main(["gen", "--states", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: state count {n} exceeds the limit of {MAX_STATES}\n"
+    )
+
+
 def test_cmd_selftest(capsys):
     code = main(["selftest", "--states", "3", "--seed", "2", "--trials", "5"])
     out = capsys.readouterr().out

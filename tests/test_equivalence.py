@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -91,6 +92,39 @@ def test_fb_equivalence_implies_bounded_language_equality():
             assert set(bounded_language(a, 6)) == set(bounded_language(b, 6))
     # regression pin: the converse fails on the language-equal golden pair
     assert not fb_equivalent(LANG_A, LANG_B).equivalent
+
+
+def _sparse_and_relabelled(n, seed):
+    """A random automaton with two successor draws per state and symbol, and
+    a copy with its states renamed by a random permutation."""
+    rng = random.Random(seed)
+    edges = {
+        x: [(q, rng.randrange(n)) for q in range(n) for _ in range(2)]
+        for x in ("a", "b")
+    }
+    tau = set(rng.sample(range(n), n // 5))
+    perm = list(range(n))
+    rng.shuffle(perm)
+
+    def build(name):
+        terminal = {name[t] for t in tau}
+        return Nfa(
+            n, ("a", "b"),
+            {x: BoolRel.from_pairs(n, n, [(name[p], name[q]) for p, q in pairs])
+             for x, pairs in edges.items()},
+            [name[0] == q for q in range(n)],
+            [q in terminal for q in range(n)],
+        )
+
+    return build(list(range(n))), build(perm)
+
+
+def test_fb_equivalent_on_1000_sparse_states_takes_seconds():
+    a, b = _sparse_and_relabelled(1000, 60)
+    start = time.perf_counter()
+    verdict = fb_equivalent(a, b)
+    assert time.perf_counter() - start < 3
+    assert verdict.equivalent
 
 
 # --- weak equivalence --------------------------------------------------------
