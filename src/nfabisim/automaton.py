@@ -14,6 +14,7 @@ from .relcalc import (
     BoolRel,
     BoolVec,
     Partition,
+    _bit_indices,
     compose,
     inverse,
     rel_vec,
@@ -236,70 +237,43 @@ def is_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     return (image.sigma, image.tau, image.delta) == (b.sigma, b.tau, b.delta)
 
 
-def _neighbour_lists(auto: Nfa):
-    succ, pred = {}, {}
-    for x in auto.alphabet:
-        rel = auto.delta[x]
-        rev = inverse(rel)
-        succ[x] = [rel.row(i).indices() for i in range(auto.n)]
-        pred[x] = [rev.row(i).indices() for i in range(auto.n)]
-    return succ, pred
+def _index_lists(rel: BoolRel, offset: int = 0) -> list:
+    """Each row of rel as the list of its column indices plus offset, the
+    position of B's first state when B's lists follow A's in A+B."""
+    return [[offset + j for j in _bit_indices(m)] for m in rel.row_masks]
 
 
-def _stable_colors(a: Nfa, b: Nfa, nbrs_a, nbrs_b):
-    """Iterated degree refinement shared across both automata, over their
-    ``_neighbour_lists``.
+def _refine(block: list, tables):
+    """Naive partition refinement: yields the blocks after each round.
 
-    Returns stable color arrays, or None as soon as the color histograms
-    diverge (then no isomorphism can exist).
+    In a round a state's key is its block plus, per neighbour table, the set
+    of its neighbours' blocks; the keys are numbered by first occurrence.
+    The last round yielded is the first that splits no block.  Over the
+    successor tables of A+B these are the paper's forward rounds (Kanellakis
+    & Smolka, 1990); with predecessor tables as well, colour refinement
+    (Berkholz, Bonsma & Grohe, 2013).
     """
-    symbols = a.alphabet
-    table = {}
-
-    def assign(sig):
-        return table.setdefault(sig, len(table))
-
-    def recolor(colors, succ, pred, n):
-        return [
-            assign(
-                (
-                    colors[i],
-                    tuple(
-                        (
-                            tuple(sorted(colors[j] for j in succ[x][i])),
-                            tuple(sorted(colors[j] for j in pred[x][i])),
-                        )
-                        for x in symbols
-                    ),
-                )
-            )
-            for i in range(n)
-        ]
-
-    ca = [assign((a.sigma[i], a.tau[i])) for i in range(a.n)]
-    cb = [assign((b.sigma[j], b.tau[j])) for j in range(b.n)]
-    for _ in range(a.n + 1):
-        if Counter(ca) != Counter(cb):
-            return None
-        table.clear()
-        na = recolor(ca, *nbrs_a, a.n)
-        nb = recolor(cb, *nbrs_b, b.n)
-        stable = len(set(na)) == len(set(ca)) and len(set(nb)) == len(set(cb))
-        ca, cb = na, nb
-        if stable:
-            break
-    if Counter(ca) != Counter(cb):
-        return None
-    return ca, cb
+    count = len(set(block))
+    while True:
+        sets = [[frozenset(map(block.__getitem__, t)) for t in s] for s in tables]
+        keys = {}
+        block = [keys.setdefault(key, len(keys)) for key in zip(block, *sets)]
+        yield block
+        if len(keys) == count:
+            return
+        count = len(keys)
 
 
 def find_isomorphism(a: Nfa, b: Nfa):
     """Search for a state bijection satisfying the isomorphism conditions.
 
-    Color refinement prunes the candidate images, then a backtracking
-    assignment tries states in index order and images in increasing order,
-    so the returned bijection has the lexicographically least image sequence
-    among all isomorphisms.  A candidate image j of state i is checked only
+    Colour refinement prunes the candidate images: ``_refine`` runs over the
+    disjoint union A+B from the (initial, terminal) bits, with successor and
+    predecessor tables per symbol, and a colour holding unequal numbers of
+    A and B states rules out any isomorphism.  A backtracking assignment then
+    tries states in index order and images in increasing order, so the
+    returned bijection has the lexicographically least image sequence among
+    all isomorphisms.  A candidate image j of state i is checked only
     against i's own edges: per symbol, the images of i's successors and
     predecessors placed so far (and i itself) must be exactly j's successors
     and predecessors among the placed images and j.  The search keeps its
@@ -309,29 +283,30 @@ def find_isomorphism(a: Nfa, b: Nfa):
     _require_same_alphabet(a, b)
     if a.n != b.n:
         return None
-    nbrs_a, nbrs_b = _neighbour_lists(a), _neighbour_lists(b)
-    colors = _stable_colors(a, b, nbrs_a, nbrs_b)
-    if colors is None:
-        return None
-    ca, cb = colors
-    buckets = {}
-    for j, c in enumerate(cb):
-        buckets.setdefault(c, []).append(j)
-    # Per symbol: A's successor lists, A's predecessor lists, and B's
-    # successor and predecessor masks in the same order.
-    lists_a = [nbrs[x] for x in a.alphabet for nbrs in nbrs_a]
-    masks_b = [
-        rel.row_masks
-        for x in a.alphabet
-        for rel in (b.delta[x], inverse(b.delta[x]))
+    n = a.n
+    # Per symbol, successors then predecessors: A's lists followed by B's
+    # (offset by n) over A+B, and B's masks in the same order.
+    rels = []
+    for x in a.alphabet:
+        rels += [(a.delta[x], b.delta[x]), (inverse(a.delta[x]), inverse(b.delta[x]))]
+    tables = [_index_lists(ra) + _index_lists(rb, n) for ra, rb in rels]
+    masks_b = [rb.row_masks for _, rb in rels]
+    block = [
+        (v.sigma.mask >> i & 1, v.tau.mask >> i & 1) for v in (a, b) for i in range(n)
     ]
+    for block in _refine(block, tables):
+        if Counter(block[:n]) != Counter(block[n:]):
+            return None
+    buckets = {}
+    for j, c in enumerate(block[n:]):
+        buckets.setdefault(c, []).append(j)
     image, tried = [], []
     placed = 0
     at = 0
 
     def fits(i, j):
         seen = placed | 1 << j
-        for lists, masks in zip(lists_a, masks_b):
+        for lists, masks in zip(tables, masks_b):
             want = 0
             for t in lists[i]:
                 if t < i:
@@ -345,9 +320,9 @@ def find_isomorphism(a: Nfa, b: Nfa):
     # ``image`` is the stack, ``tried`` the bucket position of each entry:
     # extend it with the least fitting unused image in i's bucket from
     # position ``at`` on, or pop its top and resume just after it.
-    while len(image) < a.n:
+    while len(image) < n:
         i = len(image)
-        bucket = buckets[ca[i]]
+        bucket = buckets[block[i]]
         while at < len(bucket) and (
             placed >> bucket[at] & 1 or not fits(i, bucket[at])
         ):

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .automaton import Nfa, _require_same_alphabet, reverse
+from .automaton import Nfa, _index_lists, _refine, _require_same_alphabet, reverse
 from .relcalc import (
     BoolRel,
     Partition,
@@ -244,9 +244,9 @@ def _neighbours(a: Nfa, symbols, backward: bool) -> list:
     whose union over a set of states is that set's preimage."""
     out = []
     for x in symbols:
-        succ, pred = a.delta[x].row_masks, inverse(a.delta[x]).row_masks
-        near, back = (pred, succ) if backward else (succ, pred)
-        out.append(([list(_bit_indices(m)) for m in near], near, back))
+        rels = a.delta[x], inverse(a.delta[x])
+        near, back = rels[::-1] if backward else rels
+        out.append((_index_lists(near), near.row_masks, back.row_masks))
     return out
 
 
@@ -375,25 +375,21 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     The successors of A's states lie in A and those of B's in B, so phi_k is
     k-step bisimilarity on the disjoint union A+B restricted to A x B.  Each
     round is one pass of naive partition refinement over the a.n + b.n
-    states: two states share a block after round k + 1 when they shared one
+    states (``automaton._refine``, the engine ``find_isomorphism`` also
+    runs): two states share a block after round k + 1 when they shared one
     after round k and, per symbol, their successors meet the same blocks.
     The sequence ends as the paper's does, once phi repeats or is empty,
     even while blocks inside A or inside B still split.
     """
     _require_same_alphabet(a, b)
     succ = [
-        [list(_bit_indices(m)) for m in a.delta[x].row_masks]
-        + [[a.n + j for j in _bit_indices(m)] for m in b.delta[x].row_masks]
-        for x in a.alphabet
+        _index_lists(a.delta[x]) + _index_lists(b.delta[x], a.n) for x in a.alphabet
     ]
-    block = [a.tau.mask >> i & 1 for i in range(a.n)]
-    block += [b.tau.mask >> j & 1 for j in range(b.n)]
+    block = [v.tau.mask >> i & 1 for v in (a, b) for i in range(v.n)]
     seq = [_same_block(block, a.n, b.n)]
+    rounds = _refine(block, succ)
     while not seq[-1].is_empty():
-        sets = [[frozenset(map(block.__getitem__, t)) for t in s] for s in succ]
-        keys = {}
-        block = [keys.setdefault(key, len(keys)) for key in zip(block, *sets)]
-        seq.append(_same_block(block, a.n, b.n))
+        seq.append(_same_block(next(rounds), a.n, b.n))
         if seq[-1] == seq[-2]:
             break
     return seq

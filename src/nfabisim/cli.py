@@ -245,7 +245,7 @@ def parse_rel(text: str, source: str = "<string>") -> BoolRel:
             raise ParseError(
                 source, lineno, f"expected {cols} characters of 0/1, got {line!r}"
             )
-        masks.append(sum(1 << j for j, c in enumerate(row) if c == "1"))
+        masks.append(int(row[::-1], 2))
     return BoolRel(rows, cols, masks)
 
 

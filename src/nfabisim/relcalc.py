@@ -133,7 +133,7 @@ class BoolVec:
         return BoolVec(self.n, ~self.mask & (1 << self.n) - 1)
 
     def to_text(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.n))
+        return format(self.mask, f"0{self.n}b")[::-1]
 
 
 class BoolRel:
@@ -240,10 +240,8 @@ class BoolRel:
 
     def to_text(self) -> str:
         """Rows of 0/1 characters, one matrix row per line."""
-        return "\n".join(
-            "".join("1" if m >> j & 1 else "0" for j in range(self.cols))
-            for m in self.row_masks
-        )
+        width = f"0{self.cols}b"
+        return "\n".join(format(m, width)[::-1] for m in self.row_masks)
 
 
 def _require_square(r: BoolRel, what: str) -> None:

@@ -348,6 +348,59 @@ def test_find_isomorphism_deeper_than_the_recursion_limit():
     assert phi == tuple(range(n))
 
 
+@pytest.mark.parametrize("marks", ["initial", "terminal"])
+def test_find_isomorphism_matches_initial_and_terminal_states(marks):
+    # fits checks edges only, so initial and terminal agreement rests on the
+    # starting colours: two edgeless states told apart by one bit.
+    delta = {"x": BoolRel(2, 2, [0, 0])}
+    one, other = ([0, 1], [0, 0]), ([1, 0], [0, 0])
+    if marks == "terminal":
+        one, other = one[::-1], other[::-1]
+    a, b = Nfa(2, ("x",), delta, *one), Nfa(2, ("x",), delta, *other)
+    assert find_isomorphism(a, b) == (1, 0)
+
+
+def _ring(n):
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    mark = [1] + [0] * (n - 1)
+    return Nfa(n, ("x",), {"x": BoolRel.from_pairs(n, n, edges)}, mark, mark)
+
+
+@pytest.mark.parametrize(
+    "make, size",
+    [(lambda: random_nfa(600, ("x", "y"), 2 / 600, 1), 590), (lambda: _ring(300), 300)],
+    ids=["random-600", "ring-300"],
+)
+def test_find_isomorphism_on_relabelled_fb_factors_is_the_relabelling(make, size):
+    # On an fb factor the stable colouring leaves one state per colour on
+    # each side, so the result is exactly the relabelling.  The ring needs
+    # about n/2 colour rounds, spreading out from its one marked state.
+    a = make()
+    f = factor(a, greatest_fb_equivalence(a))
+    assert f.n == size
+    perm = random.Random(f.n).sample(range(f.n), f.n)
+    assert find_isomorphism(f, _relabel(f, perm)) == tuple(perm)
+
+
+def test_find_isomorphism_rejects_colours_that_part_late():
+    # Two marked 30-cycles against a marked 20-cycle and a marked 40-cycle:
+    # every state has one successor and one predecessor, and a state's
+    # colour after k rounds is its distance to the mark either way, capped
+    # at k.  The colour counts of the two sides agree for nine rounds and
+    # part in the tenth, when the 20-cycle's far state sees its mark.
+    def rings(*sizes):
+        edges, marks, base = [], [], 0
+        for size in sizes:
+            edges += [(base + i, base + (i + 1) % size) for i in range(size)]
+            marks.append(base)
+            base += size
+        rel = BoolRel.from_pairs(base, base, edges)
+        tau = [1 if i in marks else 0 for i in range(base)]
+        return Nfa(base, ("x",), {"x": rel}, [0] * base, tau)
+
+    assert find_isomorphism(rings(30, 30), rings(20, 40)) is None
+
+
 def test_is_isomorphism_rejects_non_bijections():
     assert not is_isomorphism(FWD_A, FWD_A, (0, 0, 1))
     assert not is_isomorphism(FWD_A, FWD_A, (0, 2, 1))

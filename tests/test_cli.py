@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from nfabisim.cli import (
     parse_rel,
 )
 from nfabisim.nerode import nerode
+from nfabisim.relcalc import BoolRel
 
 from goldens import FWD_PHI2, GOLDEN_AUTOMATA
 
@@ -96,6 +98,11 @@ def test_parse_error_malformed_transition():
 
 def test_rel_round_trip_and_errors():
     assert parse_rel(format_rel(FWD_PHI2)) == FWD_PHI2
+    rng = random.Random(13)
+    for cols in (1, 64, 65, 130):
+        bits = [[0] * cols, [1] * cols, [rng.randint(0, 1) for _ in range(cols)]]
+        rel = BoolRel.from_bits(bits)
+        assert parse_rel(format_rel(rel)) == rel
     with pytest.raises(ParseError, match="header"):
         parse_rel("")
     with pytest.raises(ParseError, match="rows"):
@@ -301,6 +308,10 @@ def test_cmd_selftest(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "5/5 trials passed" in out
+    code = main(["selftest", "--states", "6", "--seed", "0", "--trials", "50"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "50/50 trials passed" in out
 
 
 def test_missing_file_exits_2(capsys):

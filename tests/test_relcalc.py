@@ -82,6 +82,10 @@ def test_vec_round_trip():
     assert v.count() == 3
     assert BoolVec.from_indices(4, [0, 2, 3]) == v
     assert v.to_text() == "1011"
+    rng = random.Random(11)
+    for n in (1, 64, 65, 130):
+        for bits in ([0] * n, [1] * n, [rng.randint(0, 1) for _ in range(n)]):
+            assert BoolVec.from_bits(bits).to_text() == "".join(map(str, bits))
 
 
 def test_rel_round_trip():
@@ -90,6 +94,11 @@ def test_rel_round_trip():
     assert r.pairs() == ((0, 1), (1, 0), (1, 1))
     assert BoolRel.from_pairs(3, 2, r.pairs()) == r
     assert r.to_text() == "01\n11\n00"
+    rng = random.Random(12)
+    for cols in (1, 64, 65, 130):
+        bits = [[0] * cols, [1] * cols, [rng.randint(0, 1) for _ in range(cols)]]
+        text = "\n".join("".join(map(str, row)) for row in bits)
+        assert BoolRel.from_bits(bits).to_text() == text
 
 
 # --- composition --------------------------------------------------------
