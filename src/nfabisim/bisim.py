@@ -8,8 +8,9 @@ the reversed automata) every round is one pass of partition refinement over
 the disjoint union of the two automata.  For bfb (and fbb) each round reads
 the bounds pair by pair and re-examines only the pairs whose neighbours lost
 a pair in the round before.  Both return the paper's exact sequence of
-relations.  The weak kinds intersect arrow relations over the finitely many
-reachable boundary-vector pairs instead.
+relations.  The weak kinds read the finitely many reachable terminal-vector
+pairs instead, one breadth-first search over preimage tables, and compare
+the states' membership signatures over those pairs.
 
 Condition names used in reports:
 
@@ -35,12 +36,13 @@ from enum import Enum
 from .automaton import Nfa, _index_lists, _refine, _require_same_alphabet, reverse
 from .relcalc import (
     BoolRel,
+    BoolVec,
     Partition,
     _bit_indices,
+    _columns,
+    _preimages,
     arrow_left,
     arrow_right,
-    biarrow,
-    cokernel,
     compose,
     intersect,
     inverse,
@@ -469,6 +471,35 @@ def greatest_bb_equivalence(a: Nfa) -> Partition:
     return _equivalence_of(greatest_backward_bisim(a, a))
 
 
+def _terminal_search(autos):
+    """Breadth-first search over the tuples (tau_u of each automaton, as
+    masks) for all words u.
+
+    The search starts from the tuple of terminal vectors and closes it under
+    prepending one symbol, in the first automaton's alphabet order, with one
+    ``_preimages`` table per automaton and symbol.  It yields each distinct
+    tuple once, with the index of the tuple it was first reached from and
+    the symbol prepended (None and None for the start).  So the k-th tuple
+    is first reached through the shortest word, least in alphabet order read
+    from the last symbol to the first, that reaches it.
+    """
+    for other in autos[1:]:
+        _require_same_alphabet(autos[0], other)
+    steps = [(x, [_preimages(v.delta[x]) for v in autos]) for x in autos[0].alphabet]
+    start = tuple(v.tau.mask for v in autos)
+    seen = {start}
+    order = [start]
+    yield start, None, None
+    # The list doubles as the queue: iteration reaches every appended tuple.
+    for k, masks in enumerate(order):
+        for x, pre in steps:
+            nxt = tuple(p(m) for p, m in zip(pre, masks))
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                yield nxt, k, x
+
+
 def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     """Every distinct pair of word-indexed terminal vectors, breadth-first.
 
@@ -476,39 +507,46 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     closes the starting pair under prepending one symbol, so the finite list
     covers all words.
     """
-    _require_same_alphabet(a, b)
-    seen = {(a.tau.mask, b.tau.mask)}
-    order = [(a.tau, b.tau)]
-    # The list doubles as the queue: iteration reaches every appended pair.
-    for xa, xb in order:
-        for x in a.alphabet:
-            na, nb = rel_vec(a.delta[x], xa), rel_vec(b.delta[x], xb)
-            if (na.mask, nb.mask) not in seen:
-                seen.add((na.mask, nb.mask))
-                order.append((na, nb))
-    return order
+    return [
+        (BoolVec(a.n, ma), BoolVec(b.n, mb))
+        for (ma, mb), _, _ in _terminal_search((a, b))
+    ]
 
 
-def _intersect_over_pairs(pairs, build) -> BoolRel:
-    return functools.reduce(intersect, (build(ta, tb) for ta, tb in pairs))
+def _signatures(autos) -> tuple:
+    """The number of reachable terminal-vector tuples and, per automaton,
+    each state's signature: bit k is set when the state lies in the vector
+    of the k-th tuple.  Two states agree on every tau_u exactly when their
+    signatures are equal."""
+    tuples = [masks for masks, _, _ in _terminal_search(autos)]
+    return (len(tuples), *(
+        _columns(vectors, v.n) for vectors, v in zip(zip(*tuples), autos)
+    ))
 
 
 def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak forward simulation: states related when every
-    terminal-vector membership of the left one carries over to the right."""
-    pairs = reachable_terminal_pairs(a, b)
-    lam = _intersect_over_pairs(pairs, arrow_right)
+    terminal-vector membership of the left one carries over to the right,
+    that is, when the left signature is contained in the right one."""
+    count, sig_a, sig_b = _signatures((a, b))
+    lam = BoolRel(a.n, b.n, [
+        sum(1 << j for j, t in enumerate(sig_b) if not s & ~t) for s in sig_a
+    ])
     return _report(
-        BisimKind.WEAK_FORWARD_SIM, a, b, lam, len(pairs), ("initial-forward",)
+        BisimKind.WEAK_FORWARD_SIM, a, b, lam, count, ("initial-forward",)
     )
 
 
 def greatest_weak_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
-    """Greatest weak forward bisimulation: memberships must agree exactly."""
-    pairs = reachable_terminal_pairs(a, b)
-    mu = _intersect_over_pairs(pairs, biarrow)
+    """Greatest weak forward bisimulation: memberships must agree exactly,
+    so the related states are those with equal signatures."""
+    count, sig_a, sig_b = _signatures((a, b))
+    same = {}
+    for j, t in enumerate(sig_b):
+        same[t] = same.get(t, 0) | 1 << j
+    mu = BoolRel(a.n, b.n, [same.get(s, 0) for s in sig_a])
     return _report(
-        BisimKind.WEAK_FORWARD_BISIM, a, b, mu, len(pairs),
+        BisimKind.WEAK_FORWARD_BISIM, a, b, mu, count,
         ("initial-forward", "initial-backward"),
     )
 
@@ -522,8 +560,8 @@ def wfb_equivalence_bound(a: Nfa) -> Partition:
     """Greatest weak-forward-bisimulation equivalence: states grouped by
     agreeing on every reachable terminal vector.  Every equivalence below it
     is again a weak forward bisimulation; none above it is."""
-    pairs = reachable_terminal_pairs(a, a)
-    return cokernel(BoolRel(len(pairs), a.n, [ta.mask for ta, _ in pairs]))
+    _, sig = _signatures((a,))
+    return Partition(sig)
 
 
 def wbb_equivalence_bound(a: Nfa) -> Partition:

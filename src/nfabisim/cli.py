@@ -308,14 +308,14 @@ def _cmd_equiv(args) -> int:
     elif args.mode == "wfb":
         verdict = equivalence.wfb_equivalent(a, b)
     else:
-        verdict = equivalence.language_equivalent(a, b, args.maxlen)
+        verdict = equivalence.language_equivalent(a, b)
     if verdict.equivalent:
         print("EQUIVALENT")
         if args.mode in ("fb", "wfb"):
             print(verdict.witness.relation.to_text())
         return 0
     print("NOT-EQUIVALENT")
-    if args.mode == "lang" and verdict.witness is not None:
+    if args.mode == "lang":
         word = " ".join(verdict.witness) if verdict.witness else "eps"
         print(f"witness: {word}")
     return 1
@@ -380,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="decide equivalence of two automata")
     p.add_argument("--mode", required=True, choices=["fb", "wfb", "lang"])
-    p.add_argument("--maxlen", type=int, default=6)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=_cmd_equiv)

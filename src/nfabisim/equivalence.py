@@ -15,13 +15,16 @@ from .automaton import (
     Nfa,
     _bijection,
     _require_same_alphabet,
-    bounded_language,
+    accepts,
     factor,
     find_isomorphism,
     is_isomorphism,
+    reverse,
 )
 from .bisim import (
     BisimKind,
+    _signatures,
+    _terminal_search,
     check,
     greatest_bb_equivalence,
     greatest_fb_equivalence,
@@ -150,36 +153,39 @@ def wfb_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     )
 
 
-def language_equivalent(a: Nfa, b: Nfa, maxlen: int) -> EquivVerdict:
-    """Compare the accepted words up to a length bound.
+def language_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
+    """Decide whether the two automata accept the same words.
 
-    A negative verdict carries the shortest (length-then-lex) separating word
-    as its witness.
+    The terminal-vector search run on the reversed automata reaches every
+    pair (sigma_u of a, sigma_u of b), each first through its length-lex-least
+    word u (lexicographic in a's alphabet order).  The languages differ
+    exactly when some pair disagrees on meeting the terminal states, and the
+    first such pair's word is the shortest (length-then-lex) separating
+    word, which a negative verdict carries as its witness.
     """
-    _require_same_alphabet(a, b)
-    la = bounded_language(a, maxlen)
-    lb = bounded_language(b, maxlen)
-    if set(la) == set(lb):
-        return EquivVerdict(True, "lang")
-    order = {x: k for k, x in enumerate(a.alphabet)}
-    separating = min(
-        set(la) ^ set(lb),
-        key=lambda w: (len(w), tuple(order[s] for s in w)),
-    )
-    return EquivVerdict(False, "lang", separating)
+    links = []
+    for (ma, mb), parent, x in _terminal_search((reverse(a), reverse(b))):
+        links.append((parent, x))
+        if bool(ma & a.tau.mask) == bool(mb & b.tau.mask):
+            continue
+        word = ()
+        while parent is not None:
+            word = (x,) + word
+            parent, x = links[parent]
+        if accepts(a, word) == accepts(b, word):
+            raise AssertionError("separating word failed re-verification")
+        return EquivVerdict(False, "lang", word)
+    return EquivVerdict(True, "lang")
 
 
 def _weak_signatures(a: Nfa, b: Nfa):
-    """Per-state columns of sigma stacked over the reachable terminal
-    vectors: state i's signature has bit 0 for sigma and bit k + 1 for the
-    k-th pair."""
-    pairs = reachable_terminal_pairs(a, b)
-
-    def columns(auto, vecs):
-        rows = [auto.sigma.mask] + [v.mask for v in vecs]
-        return inverse(BoolRel(len(rows), auto.n, rows)).row_masks
-
-    return columns(a, [ta for ta, _ in pairs]), columns(b, [tb for _, tb in pairs])
+    """Per-state membership signatures over sigma and the reachable
+    terminal vectors: bit 0 for sigma and bit k + 1 for the k-th pair."""
+    _, sig_a, sig_b = _signatures((a, b))
+    return tuple(
+        [s << 1 | auto.sigma.mask >> i & 1 for i, s in enumerate(sig)]
+        for auto, sig in ((a, sig_a), (b, sig_b))
+    )
 
 
 def weak_forward_isomorphism(a: Nfa, b: Nfa):

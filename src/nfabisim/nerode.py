@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 
 from .automaton import Nfa
-from .relcalc import BoolVec, rel_vec, scalar, vec_rel
+from .relcalc import BoolVec, _preimages, scalar, vec_rel
 
 __all__ = ["Dfa", "nerode", "reverse_nerode", "dfa_isomorphic"]
 
@@ -120,12 +120,15 @@ def nerode(a: Nfa) -> Dfa:
 def reverse_nerode(a: Nfa) -> Dfa:
     """Subset construction over the word-indexed terminal vectors.
 
-    Isomorphic to the forward construction applied to the reversed automaton.
+    Equal to the forward construction applied to the reversed automaton,
+    numbering and subset labels included.  Each step is a preimage read
+    from ``_preimages`` tables.
     """
+    pre = {x: _preimages(a.delta[x]) for x in a.alphabet}
     return _subset_construction(
         a,
         a.tau,
-        lambda vec, x: rel_vec(a.delta[x], vec),
+        lambda vec, x: BoolVec(a.n, pre[x](vec.mask)),
         lambda vec: scalar(a.sigma, vec),
     )
 

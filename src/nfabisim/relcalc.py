@@ -293,6 +293,36 @@ def rel_vec(r: BoolRel, beta: BoolVec) -> BoolVec:
     return BoolVec(r.rows, acc)
 
 
+def _preimages(r: BoolRel):
+    """Preimage function of r on masks: column subset in, mask of the rows
+    that meet it out, as ``rel_vec(r, BoolVec(r.cols, mask)).mask``.
+
+    The method of Four Russians (Arlazarov, Dinic, Kronrod & Faradzev,
+    1970): the predecessor masks are read once, and every 4 columns get a
+    16-entry table whose entry k is the union of the predecessor masks of
+    the columns set in k.  A preimage is then cols/4 table lookups, where
+    ``rel_vec`` tests every row.
+    """
+    preds = inverse(r).row_masks
+    tables = []
+    for c in range(0, r.cols, 4):
+        table = [0]
+        for p in preds[c:c + 4]:
+            table += [t | p for t in table]
+        tables.append(table)
+
+    def preimage(mask: int) -> int:
+        acc = 0
+        for table in tables:
+            if not mask:
+                break
+            acc |= table[mask & 15]
+            mask >>= 4
+        return acc
+
+    return preimage
+
+
 def scalar(alpha: BoolVec, beta: BoolVec) -> bool:
     """Truth value of "the two subsets intersect"."""
     if alpha.n != beta.n:
@@ -306,6 +336,15 @@ def inverse(r: BoolRel) -> BoolRel:
         for b in _bit_indices(m):
             out[b] |= 1 << a
     return BoolRel(r.cols, r.rows, out)
+
+
+def _columns(row_masks, cols: int) -> list:
+    """Column masks of a matrix given by its row masks, equal to
+    ``inverse(r).row_masks``.  One string transpose, which beats the bit
+    loop of ``inverse`` once the rows are dense."""
+    width = f"0{cols}b"
+    rows = [format(m, width)[::-1] for m in reversed(row_masks)]
+    return [int("".join(col), 2) for col in zip(*rows)]
 
 
 def union(r: BoolRel, s: BoolRel) -> BoolRel:

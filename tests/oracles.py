@@ -88,10 +88,17 @@ def accepts_oracle(a: Nfa, word) -> bool:
 
 
 def language_oracle(a: Nfa, maxlen: int) -> list:
+    """Every accepted word of length <= maxlen, in length-then-lex order,
+    each simulated from the initial states on its own."""
+    succ = {x: [step_states(a, {i}, x) for i in range(a.n)] for x in a.alphabet}
+    sigma, tau = _members(a.sigma), _members(a.tau)
     out = []
     for length in range(maxlen + 1):
         for word in itertools.product(a.alphabet, repeat=length):
-            if accepts_oracle(a, word):
+            current = sigma
+            for x in word:
+                current = {j for i in current for j in succ[x][i]}
+            if current & tau:
                 out.append(word)
     return out
 
@@ -277,6 +284,57 @@ def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
             break
         pairs = nxt
     return [BoolRel.from_pairs(a.n, b.n, phi) for phi in seq]
+
+
+def weak_oracle(kind: str, a: Nfa, b: Nfa) -> tuple:
+    """The reachable terminal-vector pairs and the greatest weak relation of
+    kind "wfs", "wfb" or "wbb" between A and B, by the definition.
+
+    The pairs (tau_u of A, tau_u of B) are found breadth-first from the two
+    terminal sets, each pair stepping to its predecessor sets per symbol in
+    A's alphabet order.  The relation is the intersection, pair by pair, of
+    the arrows: (p, q) survives a pair (S, T) when p in S implies q in T,
+    and for wfb also q in T implies p in S.  A wbb is a wfb of the reversed
+    automata, with the condition names turned back.
+
+    Returns (pairs, relation, failure), the pairs as frozensets; relation is
+    None exactly when failure names the covering conditions it violates.
+    """
+    if kind == "wbb":
+        pairs, relation, failure = weak_oracle(
+            "wfb", reverse_oracle(a), reverse_oracle(b)
+        )
+        dual = {"initial-forward": "terminal-forward",
+                "initial-backward": "terminal-backward"}
+        return pairs, relation, failure and tuple(dual[n] for n in failure)
+    if kind not in ("wfs", "wfb"):
+        raise ValueError(f"unknown weak kind {kind!r}")
+    edges = [(_edges(a, x), _edges(b, x)) for x in a.alphabet]
+    pairs = [(frozenset(_members(a.tau)), frozenset(_members(b.tau)))]
+    seen = set(pairs)
+    for s, t in pairs:
+        for ea, eb in edges:
+            pair = (frozenset(p for p, p2 in ea if p2 in s),
+                    frozenset(q for q, q2 in eb if q2 in t))
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+    related = {(p, q) for p in range(a.n) for q in range(b.n)}
+    for s, t in pairs:
+        related = {
+            (p, q) for p, q in related
+            if (p not in s or q in t) and (kind == "wfs" or q not in t or p in s)
+        }
+    sigma_a, sigma_b = _members(a.sigma), _members(b.sigma)
+    cover = [("initial-forward", all(
+        any((p, q) in related for q in sigma_b) for p in sigma_a))]
+    if kind == "wfb":
+        cover.append(("initial-backward", all(
+            any((p, q) in related for p in sigma_a) for q in sigma_b)))
+    failure = tuple(name for name, holds in cover if not holds)
+    if failure:
+        return pairs, None, failure
+    return pairs, BoolRel.from_pairs(a.n, b.n, related), None
 
 
 def reverse_oracle(a: Nfa) -> Nfa:

@@ -165,7 +165,7 @@ def test_criterion_04_weak_golden():
     weak = wfb_equivalent(WEAK_A, WEAK_B)
     modified = wfb_equivalent(WEAK_A_MOD, WEAK_B_MOD)
     langs_equal = (
-        language_equivalent(WEAK_A_MOD, WEAK_B_MOD, 6).equivalent
+        language_equivalent(WEAK_A_MOD, WEAK_B_MOD).equivalent
         and bounded_language(WEAK_A_MOD, 6) == [()]
     )
     elapsed = time.perf_counter() - start

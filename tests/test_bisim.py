@@ -22,6 +22,7 @@ from nfabisim.bisim import (
     greatest_weak_forward_bisim,
     greatest_weak_forward_sim,
     reachable_terminal_pairs,
+    wbb_equivalence_bound,
     wfb_equivalence_bound,
 )
 from nfabisim.relcalc import (
@@ -60,6 +61,7 @@ from oracles import (
     fixpoint_steps_oracle,
     reverse_oracle,
     right_language_oracle,
+    weak_oracle,
 )
 
 
@@ -612,6 +614,58 @@ def test_weak_simulation_matches_right_language_inclusion():
         rep = greatest_weak_forward_sim(a, b)
         if rep.relation is not None:
             assert rep.relation == oracle
+
+
+# Sizes on both sides of the 4-column chunks of the preimage tables.
+_CHUNK_SIZES = (1, 3, 4, 5, 8, 9, 17, 33, 65)
+
+
+def _pooled(rng, n, alphabet, copy=None):
+    """Random automaton whose successor sets, per symbol, come from a pool of
+    three random sets, which keeps the reachable vector pairs few (at most
+    a few dozen here).  With ``copy``, states 0..copy.n-1 are a copy of that
+    automaton with no edges out of it, so on those states every terminal
+    vector is copy's own, and the automaton weakly simulates copy."""
+    base = copy.n if copy else 0
+    pairs = {}
+    for x in alphabet:
+        pool = [rng.sample(range(n), rng.randint(1, min(3, n))) for _ in range(3)]
+        own = list(copy.delta[x].pairs()) if copy else []
+        pairs[x] = own + [(q, t) for q in range(base, n) for t in rng.choice(pool)]
+    boundary = [
+        (set(getattr(copy, vec).indices()) if copy else set())
+        | {q for q in range(base, n) if rng.random() < 0.3}
+        for vec in ("sigma", "tau")
+    ]
+    delta = {x: BoolRel.from_pairs(n, n, p) for x, p in pairs.items()}
+    return Nfa(n, alphabet, delta, *([q in vec for q in range(n)] for vec in boundary))
+
+
+def test_weak_relations_match_the_oracle_across_chunk_boundaries():
+    rng = random.Random(61)
+    for trial in range(24):
+        n_a, n_b = sorted(rng.sample(_CHUNK_SIZES, 2))
+        a = _pooled(rng, n_a, ("x", "y"))
+        b = _pooled(rng, n_b, ("y", "x"), copy=a if trial % 2 else None)
+        pairs = weak_oracle("wfs", a, b)[0]
+        assert [
+            (set(ta.indices()), set(tb.indices()))
+            for ta, tb in reachable_terminal_pairs(a, b)
+        ] == pairs
+        for left, right in ((a, b), (b, a)):
+            for kind, greatest in (("wfs", greatest_weak_forward_sim),
+                                   ("wfb", greatest_weak_forward_bisim),
+                                   ("wbb", greatest_weak_backward_bisim)):
+                pairs, relation, failure = weak_oracle(kind, left, right)
+                rep = greatest(left, right)
+                assert (rep.relation, rep.iterations, rep.failure) == (
+                    relation, len(pairs), failure
+                ), (trial, kind)
+        for auto in (a, b):
+            assert wfb_equivalence_bound(auto) == Partition.from_relation(
+                weak_oracle("wfb", auto, auto)[1])
+            assert wbb_equivalence_bound(auto) == Partition.from_relation(
+                weak_oracle("wbb", auto, auto)[1])
 
 
 def test_wfb_equivalence_bound_golden():

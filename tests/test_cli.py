@@ -207,9 +207,24 @@ def test_cmd_equiv_fb(capsys):
     assert "11000" in out  # witness relation is printed
 
 
+def test_cmd_equiv_lang_is_exact_beyond_short_words(tmp_path, capsys):
+    # x^7 is the only word the chain accepts; the empty automaton accepts
+    # none, so no bound on the word length may call them equivalent.
+    chain = tmp_path / "chain.nfa"
+    chain.write_text(
+        "states 8\nalphabet x\ninitial 0\nterminal 7\nx:"
+        + "".join(f" {q}->{q + 1}" for q in range(7)) + "\n"
+    )
+    empty = tmp_path / "empty.nfa"
+    empty.write_text("states 1\nalphabet x\ninitial\nterminal\n")
+    code = main(["equiv", "--mode", "lang", str(chain), str(empty)])
+    assert code == 1
+    assert capsys.readouterr().out == "NOT-EQUIVALENT\nwitness: x x x x x x x\n"
+
+
 def test_cmd_equiv_lang(capsys):
     code = main([
-        "equiv", "--mode", "lang", "--maxlen", "4",
+        "equiv", "--mode", "lang",
         data("lang_a.nfa"), data("lang_b.nfa"),
     ])
     assert code == 0

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfabisim.automaton import Nfa, bounded_language, factor, find_isomorphism, random_nfa
 from nfabisim.bisim import (
@@ -46,6 +48,7 @@ from goldens import (
 )
 from oracles import (
     all_partitions,
+    language_oracle,
     random_functional_relation,
     random_uniform_relation,
 )
@@ -63,7 +66,7 @@ def test_fb_equivalent_golden_pair():
 
 def test_fb_equivalent_rejects_language_equal_pair():
     assert not fb_equivalent(LANG_A, LANG_B).equivalent
-    assert language_equivalent(LANG_A, LANG_B, 6).equivalent
+    assert language_equivalent(LANG_A, LANG_B).equivalent
 
 
 def test_fb_equivalent_reflexive_symmetric():
@@ -137,7 +140,7 @@ def test_wfb_equivalent_golden_pair():
 
 def test_wfb_equivalent_modified_initials():
     assert not wfb_equivalent(WEAK_A_MOD, WEAK_B_MOD).equivalent
-    assert language_equivalent(WEAK_A_MOD, WEAK_B_MOD, 6).equivalent
+    assert language_equivalent(WEAK_A_MOD, WEAK_B_MOD).equivalent
 
 
 def test_fb_equivalence_implies_weak():
@@ -160,18 +163,74 @@ def test_wfb_equivalent_to_own_weak_factor():
         assert wfb_equivalent(a, factor(a, wfb_equivalence_bound(a))).equivalent
 
 
-# --- bounded language decisions -------------------------------------------------
+# --- language decisions ---------------------------------------------------------
 
 
 def test_language_equivalent_witness():
-    verdict = language_equivalent(WEAK_A, WEAK_A_MOD, 6)
+    verdict = language_equivalent(WEAK_A, WEAK_A_MOD)
     assert not verdict.equivalent
     assert verdict.witness == ()  # the empty word separates the two
 
 
 def test_language_equivalent_requires_same_alphabet():
     with pytest.raises(ValueError, match="alphabet"):
-        language_equivalent(FWD_A, LANG_A, 4)
+        language_equivalent(FWD_A, LANG_A)
+
+
+@st.composite
+def _language_pairs(draw):
+    """Two automata over the same one or two symbols, B's declared in a
+    drawn order.  A has one to four states; B is drawn the same way, or is
+    the disjoint union of two copies of A (A's language), or is A with one
+    more edge (a language that may differ from A's only in longer words)."""
+
+    def parts(alphabet):
+        n = draw(st.integers(1, 4))
+        states = st.integers(0, n - 1)
+        delta = {x: draw(st.sets(st.tuples(states, states))) for x in alphabet}
+        sigma = draw(st.sets(states, min_size=1))
+        tau = draw(st.sets(states, min_size=1))
+        return n, delta, sigma, tau
+
+    def build(alphabet, n, delta, sigma, tau):
+        return Nfa(n, alphabet,
+                   {x: BoolRel.from_pairs(n, n, delta[x]) for x in alphabet},
+                   [q in sigma for q in range(n)], [q in tau for q in range(n)])
+
+    alphabet = ("x", "y")[:draw(st.integers(1, 2))]
+    order = tuple(draw(st.permutations(alphabet)))
+    n, delta, sigma, tau = parts(alphabet)
+    shape = draw(st.sampled_from(("drawn", "twice", "one-more-edge")))
+    if shape == "drawn":
+        b = build(order, *parts(order))
+    elif shape == "twice":
+        twice = {
+            x: delta[x] | {(p + n, q + n) for p, q in delta[x]} for x in alphabet
+        }
+        b = build(order, 2 * n, twice, sigma | {q + n for q in sigma},
+                  tau | {q + n for q in tau})
+    else:
+        states = st.integers(0, n - 1)
+        x, edge = draw(st.sampled_from(alphabet)), draw(st.tuples(states, states))
+        more = {y: delta[y] | ({edge} if y == x else set()) for y in alphabet}
+        b = build(order, n, more, sigma, tau)
+    return build(alphabet, n, delta, sigma, tau), b
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_language_pairs())
+def test_language_equivalent_is_exact(pair):
+    a, b = pair
+    verdict = language_equivalent(a, b)
+    if verdict.equivalent:
+        assert set(language_oracle(a, 10)) == set(language_oracle(b, 10))
+        return
+    word = verdict.witness
+    separating = set(language_oracle(a, len(word))) ^ set(
+        language_oracle(b, len(word))
+    )
+    order = {x: k for k, x in enumerate(a.alphabet)}
+    assert min(separating, key=lambda u: (len(u), [order[x] for x in u])) == word
 
 
 # --- weak forward isomorphism -----------------------------------------------------

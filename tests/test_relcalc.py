@@ -6,6 +6,8 @@ from nfabisim.relcalc import (
     BoolRel,
     BoolVec,
     Partition,
+    _columns,
+    _preimages,
     arrow_left,
     arrow_right,
     biarrow,
@@ -201,6 +203,23 @@ def test_inverse_is_transpose():
     bits = FWD_PHI2.bits()
     transpose = [[bits[a][b] for a in range(3)] for b in range(5)]
     assert inverse(FWD_PHI2) == BoolRel.from_bits(transpose)
+
+
+def test_preimage_tables_and_string_transpose_match_rel_vec_and_inverse():
+    # Sizes on both sides of the 4-column chunks, rows of zero to two bits.
+    rng = random.Random(25)
+    sizes = (1, 3, 4, 5, 8, 9, 17, 33, 65)
+    for _ in range(40):
+        rows, cols = rng.choice(sizes), rng.choice(sizes)
+        r = BoolRel.from_pairs(rows, cols, [
+            (a, rng.randrange(cols))
+            for a in range(rows) for _ in range(rng.randint(0, 2))
+        ])
+        preimage = _preimages(r)
+        singles = [1 << c for c in range(cols)]
+        for mask in singles + [rng.getrandbits(cols) for _ in range(5)]:
+            assert preimage(mask) == rel_vec(r, BoolVec(cols, mask)).mask
+        assert _columns(r.row_masks, cols) == list(inverse(r).row_masks)
 
 
 # --- arrow constructions -------------------------------------------------
