@@ -177,6 +177,25 @@ def reverse(a: Nfa) -> Nfa:
     )
 
 
+def _sum(a: Nfa, b: Nfa) -> Nfa:
+    """The disjoint union A+B in A's alphabet order, B's state j renamed
+    a.n + j.  No edge crosses sides, so sigma_u and tau_u of A+B split at
+    a.n into those of A and of B."""
+    _require_same_alphabet(a, b)
+    n = a.n + b.n
+    rows = {
+        x: a.delta[x].row_masks + tuple(m << a.n for m in b.delta[x].row_masks)
+        for x in a.alphabet
+    }
+    return Nfa(
+        n,
+        a.alphabet,
+        {x: BoolRel(n, n, r) for x, r in rows.items()},
+        BoolVec(n, a.sigma.mask | b.sigma.mask << a.n),
+        BoolVec(n, a.tau.mask | b.tau.mask << a.n),
+    )
+
+
 def _map(targets, cols: int) -> BoolRel:
     """0/1 state map sending row i to column targets[i] (a class id, or the
     image of i under a permutation)."""
@@ -237,10 +256,9 @@ def is_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     return (image.sigma, image.tau, image.delta) == (b.sigma, b.tau, b.delta)
 
 
-def _index_lists(rel: BoolRel, offset: int = 0) -> list:
-    """Each row of rel as the list of its column indices plus offset, the
-    position of B's first state when B's lists follow A's in A+B."""
-    return [[offset + j for j in _bit_indices(m)] for m in rel.row_masks]
+def _index_lists(rel: BoolRel) -> list:
+    """Each row of rel as the list of its column indices."""
+    return [list(_bit_indices(m)) for m in rel.row_masks]
 
 
 def _refine(block: list, tables):
@@ -284,16 +302,12 @@ def find_isomorphism(a: Nfa, b: Nfa):
     if a.n != b.n:
         return None
     n = a.n
-    # Per symbol, successors then predecessors: A's lists followed by B's
-    # (offset by n) over A+B, and B's masks in the same order.
-    rels = []
-    for x in a.alphabet:
-        rels += [(a.delta[x], b.delta[x]), (inverse(a.delta[x]), inverse(b.delta[x]))]
-    tables = [_index_lists(ra) + _index_lists(rb, n) for ra, rb in rels]
-    masks_b = [rb.row_masks for _, rb in rels]
-    block = [
-        (v.sigma.mask >> i & 1, v.tau.mask >> i & 1) for v in (a, b) for i in range(n)
-    ]
+    # Per symbol, successors then predecessors over A+B; B's masks in B's numbers.
+    s = _sum(a, b)
+    rels = [r for x in s.alphabet for r in (s.delta[x], inverse(s.delta[x]))]
+    tables = [_index_lists(r) for r in rels]
+    masks_b = [[m >> n for m in r.row_masks[n:]] for r in rels]
+    block = [(s.sigma.mask >> i & 1, s.tau.mask >> i & 1) for i in range(2 * n)]
     for block in _refine(block, tables):
         if Counter(block[:n]) != Counter(block[n:]):
             return None

@@ -9,8 +9,9 @@ the disjoint union of the two automata.  For bfb (and fbb) each round reads
 the bounds pair by pair and re-examines only the pairs whose neighbours lost
 a pair in the round before.  Both return the paper's exact sequence of
 relations.  The weak kinds read the finitely many reachable terminal-vector
-pairs instead, one breadth-first search over preimage tables, and compare
-the states' membership signatures over those pairs.
+pairs instead: the subsets of the reversed disjoint union A+B, found by the
+one breadth-first subset search (``nerode._subsets``) that also
+determinizes, and compare the states' membership signatures over them.
 
 Condition names used in reports:
 
@@ -33,14 +34,21 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .automaton import Nfa, _index_lists, _refine, _require_same_alphabet, reverse
+from .automaton import (
+    Nfa,
+    _index_lists,
+    _refine,
+    _require_same_alphabet,
+    _sum,
+    reverse,
+)
+from .nerode import _subsets
 from .relcalc import (
     BoolRel,
     BoolVec,
     Partition,
     _bit_indices,
     _columns,
-    _preimages,
     arrow_left,
     arrow_right,
     compose,
@@ -383,11 +391,9 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     The sequence ends as the paper's does, once phi repeats or is empty,
     even while blocks inside A or inside B still split.
     """
-    _require_same_alphabet(a, b)
-    succ = [
-        _index_lists(a.delta[x]) + _index_lists(b.delta[x], a.n) for x in a.alphabet
-    ]
-    block = [v.tau.mask >> i & 1 for v in (a, b) for i in range(v.n)]
+    s = _sum(a, b)
+    succ = [_index_lists(s.delta[x]) for x in s.alphabet]
+    block = [s.tau.mask >> i & 1 for i in range(s.n)]
     seq = [_same_block(block, a.n, b.n)]
     rounds = _refine(block, succ)
     while not seq[-1].is_empty():
@@ -471,64 +477,34 @@ def greatest_bb_equivalence(a: Nfa) -> Partition:
     return _equivalence_of(greatest_backward_bisim(a, a))
 
 
-def _terminal_search(autos):
-    """Breadth-first search over the tuples (tau_u of each automaton, as
-    masks) for all words u.
-
-    The search starts from the tuple of terminal vectors and closes it under
-    prepending one symbol, in the first automaton's alphabet order, with one
-    ``_preimages`` table per automaton and symbol.  It yields each distinct
-    tuple once, with the index of the tuple it was first reached from and
-    the symbol prepended (None and None for the start).  So the k-th tuple
-    is first reached through the shortest word, least in alphabet order read
-    from the last symbol to the first, that reaches it.
-    """
-    for other in autos[1:]:
-        _require_same_alphabet(autos[0], other)
-    steps = [(x, [_preimages(v.delta[x]) for v in autos]) for x in autos[0].alphabet]
-    start = tuple(v.tau.mask for v in autos)
-    seen = {start}
-    order = [start]
-    yield start, None, None
-    # The list doubles as the queue: iteration reaches every appended tuple.
-    for k, masks in enumerate(order):
-        for x, pre in steps:
-            nxt = tuple(p(m) for p, m in zip(pre, masks))
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                yield nxt, k, x
-
-
 def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     """Every distinct pair of word-indexed terminal vectors, breadth-first.
 
-    Each word u contributes the pair (tau_u of a, tau_u of b); the search
-    closes the starting pair under prepending one symbol, so the finite list
-    covers all words.
+    Each word u contributes the pair (tau_u of a, tau_u of b), the terminal
+    vector tau_u of A+B split at a.n; the subset search on the reversed sum
+    closes the starting pair under prepending one symbol.
     """
+    top = (1 << a.n) - 1
     return [
-        (BoolVec(a.n, ma), BoolVec(b.n, mb))
-        for (ma, mb), _, _ in _terminal_search((a, b))
+        (BoolVec(a.n, m & top), BoolVec(b.n, m >> a.n))
+        for m, _ in _subsets(reverse(_sum(a, b)))
     ]
 
 
-def _signatures(autos) -> tuple:
-    """The number of reachable terminal-vector tuples and, per automaton,
-    each state's signature: bit k is set when the state lies in the vector
-    of the k-th tuple.  Two states agree on every tau_u exactly when their
-    signatures are equal."""
-    tuples = [masks for masks, _, _ in _terminal_search(autos)]
-    return (len(tuples), *(
-        _columns(vectors, v.n) for vectors, v in zip(zip(*tuples), autos)
-    ))
+def _signatures(c: Nfa) -> tuple:
+    """The number of reachable terminal vectors of c and each state's
+    signature, whose bit k says whether the state lies in the k-th vector:
+    equal signatures agree on every tau_u.  On A+B, A's come first."""
+    vectors = [m for m, _ in _subsets(reverse(c))]
+    return len(vectors), _columns(vectors, c.n)
 
 
 def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak forward simulation: states related when every
     terminal-vector membership of the left one carries over to the right,
     that is, when the left signature is contained in the right one."""
-    count, sig_a, sig_b = _signatures((a, b))
+    count, sig = _signatures(_sum(a, b))
+    sig_a, sig_b = sig[:a.n], sig[a.n:]
     lam = BoolRel(a.n, b.n, [
         sum(1 << j for j, t in enumerate(sig_b) if not s & ~t) for s in sig_a
     ])
@@ -540,7 +516,8 @@ def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
 def greatest_weak_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak forward bisimulation: memberships must agree exactly,
     so the related states are those with equal signatures."""
-    count, sig_a, sig_b = _signatures((a, b))
+    count, sig = _signatures(_sum(a, b))
+    sig_a, sig_b = sig[:a.n], sig[a.n:]
     same = {}
     for j, t in enumerate(sig_b):
         same[t] = same.get(t, 0) | 1 << j
@@ -560,8 +537,7 @@ def wfb_equivalence_bound(a: Nfa) -> Partition:
     """Greatest weak-forward-bisimulation equivalence: states grouped by
     agreeing on every reachable terminal vector.  Every equivalence below it
     is again a weak forward bisimulation; none above it is."""
-    _, sig = _signatures((a,))
-    return Partition(sig)
+    return Partition(_signatures(a)[1])
 
 
 def wbb_equivalence_bound(a: Nfa) -> Partition:

@@ -348,6 +348,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    for option, value in (("--states", args.states), ("--trials", args.trials)):
+        if value < 1:
+            raise ValueError(f"{option} must be at least 1, got {value}")
     return _selftest_mod.run(
         max_states=args.states,
         seed=args.seed,

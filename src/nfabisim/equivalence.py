@@ -15,16 +15,15 @@ from .automaton import (
     Nfa,
     _bijection,
     _require_same_alphabet,
+    _sum,
     accepts,
     factor,
     find_isomorphism,
     is_isomorphism,
-    reverse,
 )
 from .bisim import (
     BisimKind,
     _signatures,
-    _terminal_search,
     check,
     greatest_bb_equivalence,
     greatest_fb_equivalence,
@@ -34,6 +33,7 @@ from .bisim import (
     wbb_equivalence_bound,
     wfb_equivalence_bound,
 )
+from .nerode import _subsets
 from .relcalc import (
     BoolRel,
     Partition,
@@ -156,36 +156,37 @@ def wfb_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
 def language_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     """Decide whether the two automata accept the same words.
 
-    The terminal-vector search run on the reversed automata reaches every
-    pair (sigma_u of a, sigma_u of b), each first through its length-lex-least
+    The subset search over the disjoint union A+B reaches every pair
+    (sigma_u of a, sigma_u of b), each first through its length-lex-least
     word u (lexicographic in a's alphabet order).  The languages differ
     exactly when some pair disagrees on meeting the terminal states, and the
     first such pair's word is the shortest (length-then-lex) separating
     word, which a negative verdict carries as its witness.
     """
-    links = []
-    for (ma, mb), parent, x in _terminal_search((reverse(a), reverse(b))):
-        links.append((parent, x))
-        if bool(ma & a.tau.mask) == bool(mb & b.tau.mask):
-            continue
-        word = ()
-        while parent is not None:
-            word = (x,) + word
-            parent, x = links[parent]
-        if accepts(a, word) == accepts(b, word):
-            raise AssertionError("separating word failed re-verification")
-        return EquivVerdict(False, "lang", word)
+    tau_a, tau_b = a.tau.mask, b.tau.mask << a.n
+    # links[q]: the subset that first reached subset q, and the symbol.
+    links = [None]
+    for p, (mask, row) in enumerate(_subsets(_sum(a, b))):
+        if bool(mask & tau_a) != bool(mask & tau_b):
+            word, q = (), p
+            while links[q] is not None:
+                q, x = links[q]
+                word = (x,) + word
+            if accepts(a, word) == accepts(b, word):
+                raise AssertionError("separating word failed re-verification")
+            return EquivVerdict(False, "lang", word)
+        for x, q in zip(a.alphabet, row):
+            if q == len(links):
+                links.append((p, x))
     return EquivVerdict(True, "lang")
 
 
 def _weak_signatures(a: Nfa, b: Nfa):
     """Per-state membership signatures over sigma and the reachable
     terminal vectors: bit 0 for sigma and bit k + 1 for the k-th pair."""
-    _, sig_a, sig_b = _signatures((a, b))
-    return tuple(
-        [s << 1 | auto.sigma.mask >> i & 1 for i, s in enumerate(sig)]
-        for auto, sig in ((a, sig_a), (b, sig_b))
-    )
+    c = _sum(a, b)
+    sig = [s << 1 | c.sigma.mask >> i & 1 for i, s in enumerate(_signatures(c)[1])]
+    return sig[:a.n], sig[a.n:]
 
 
 def weak_forward_isomorphism(a: Nfa, b: Nfa):

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
-
-from .automaton import Nfa
-from .relcalc import BoolVec, _preimages, scalar, vec_rel
+from .automaton import Nfa, reverse
+from .relcalc import BoolVec, _unions
 
 __all__ = ["Dfa", "nerode", "reverse_nerode", "dfa_isomorphic"]
 
@@ -73,32 +71,38 @@ class Dfa:
         return f"<Dfa {self.m} states, alphabet {','.join(self.alphabet)}>"
 
 
-def _subset_construction(a: Nfa, start: BoolVec, advance, is_final) -> Dfa:
-    index = {start.mask: 0}
-    subsets = [start]
-    next_rows = []
-    queue = deque([start])
-    while queue:
-        vec = queue.popleft()
+def _subsets(a: Nfa):
+    """Breadth-first search over the subsets sigma_u of a, for all words u.
+
+    The search starts from sigma and closes it under appending one symbol,
+    in a's alphabet order, each step a ``_unions`` of the successor masks.
+    It yields each distinct subset once, as a mask, with its row: entry k is
+    the index of the subset its k-th symbol leads to, indices counting
+    subsets in the order they are yielded.  So the q-th subset is first
+    reached through its length-lex-least word.  On ``reverse(a)`` the
+    subsets are the terminal vectors tau_u of a.
+    """
+    steps = [_unions(a.delta[x].row_masks) for x in a.alphabet]
+    index = {a.sigma.mask: 0}
+    order = [a.sigma.mask]
+    # The list doubles as the queue: iteration reaches every appended mask.
+    for mask in order:
         row = []
-        for x in a.alphabet:
-            succ = advance(vec, x)
-            q = index.get(succ.mask)
+        for step in steps:
+            nxt = step(mask)
+            q = index.get(nxt)
             if q is None:
-                q = len(subsets)
-                index[succ.mask] = q
-                subsets.append(succ)
-                queue.append(succ)
+                q = index[nxt] = len(order)
+                order.append(nxt)
             row.append(q)
-        next_rows.append(row)
-    return Dfa(
-        len(subsets),
-        a.alphabet,
-        next_rows,
-        0,
-        [is_final(v) for v in subsets],
-        subsets,
-    )
+        yield mask, row
+
+
+def _determinize(a: Nfa) -> Dfa:
+    masks, rows = zip(*_subsets(a))
+    finals = [m & a.tau.mask for m in masks]
+    subsets = [BoolVec(a.n, m) for m in masks]
+    return Dfa(len(masks), a.alphabet, rows, 0, finals, subsets)
 
 
 def nerode(a: Nfa) -> Dfa:
@@ -109,28 +113,14 @@ def nerode(a: Nfa) -> Dfa:
     states.  The bounded language agrees with the source automaton at every
     depth.
     """
-    return _subset_construction(
-        a,
-        a.sigma,
-        lambda vec, x: vec_rel(vec, a.delta[x]),
-        lambda vec: scalar(vec, a.tau),
-    )
+    return _determinize(a)
 
 
 def reverse_nerode(a: Nfa) -> Dfa:
-    """Subset construction over the word-indexed terminal vectors.
-
-    Equal to the forward construction applied to the reversed automaton,
-    numbering and subset labels included.  Each step is a preimage read
-    from ``_preimages`` tables.
-    """
-    pre = {x: _preimages(a.delta[x]) for x in a.alphabet}
-    return _subset_construction(
-        a,
-        a.tau,
-        lambda vec, x: BoolVec(a.n, pre[x](vec.mask)),
-        lambda vec: scalar(a.sigma, vec),
-    )
+    """Subset construction over the word-indexed terminal vectors: the
+    forward construction applied to the reversed automaton, numbering and
+    subset labels included."""
+    return _determinize(reverse(a))
 
 
 def dfa_isomorphic(d1: Dfa, d2: Dfa):

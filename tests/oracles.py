@@ -103,6 +103,30 @@ def language_oracle(a: Nfa, maxlen: int) -> list:
     return out
 
 
+def subsets_oracle(a: Nfa) -> list:
+    """The accessible subset construction by the definition: breadth-first
+    from the initial states, each subset stepping to its set of successors
+    per symbol in alphabet order.  Returns one (subset, row, final) per
+    subset in discovery order, row[k] being the discovery index of the k-th
+    symbol's successor set and final telling whether the subset meets the
+    terminal states."""
+    edges = [_edges(a, x) for x in a.alphabet]
+    terminal = _members(a.tau)
+    order = [frozenset(_members(a.sigma))]
+    index = {order[0]: 0}
+    out = []
+    for states in order:
+        row = []
+        for pairs in edges:
+            succ = frozenset(q for p, q in pairs if p in states)
+            if succ not in index:
+                index[succ] = len(order)
+                order.append(succ)
+            row.append(index[succ])
+        out.append((states, row, bool(states & terminal)))
+    return out
+
+
 def right_language_oracle(a: Nfa, state: int, depth: int) -> set:
     """Words of length <= depth that can reach a terminal state from state."""
     out = set()
@@ -345,6 +369,24 @@ def reverse_oracle(a: Nfa) -> Nfa:
         {x: {(q, p) for p, q in _edges(a, x)} for x in a.alphabet},
         _members(a.tau),
         _members(a.sigma),
+    )
+
+
+def sum_oracle(a: Nfa, b: Nfa) -> Nfa:
+    """Disjoint union over A's alphabet order, B's state q renamed a.n + q."""
+
+    def shift(states):
+        return {a.n + q for q in states}
+
+    return _automaton(
+        a.n + b.n,
+        a.alphabet,
+        {
+            x: _edges(a, x) | {(a.n + p, a.n + q) for p, q in _edges(b, x)}
+            for x in a.alphabet
+        },
+        _members(a.sigma) | shift(_members(b.sigma)),
+        _members(a.tau) | shift(_members(b.tau)),
     )
 
 

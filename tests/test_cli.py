@@ -1,10 +1,11 @@
+import io
 import os
 import random
 
 import pytest
 
-from nfabisim import equivalence
-from nfabisim.automaton import bounded_language, random_nfa
+from nfabisim import equivalence, selftest
+from nfabisim.automaton import bounded_language, factor, random_nfa
 from nfabisim.cli import (
     MAX_STATES,
     ParseError,
@@ -15,8 +16,8 @@ from nfabisim.cli import (
     parse_nfa,
     parse_rel,
 )
-from nfabisim.nerode import nerode
-from nfabisim.relcalc import BoolRel
+from nfabisim.nerode import Dfa, nerode
+from nfabisim.relcalc import BoolRel, Partition
 
 from goldens import FWD_PHI2, GOLDEN_AUTOMATA
 
@@ -327,6 +328,47 @@ def test_cmd_selftest(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "50/50 trials passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--trials", "-1"], "--trials must be at least 1, got -1"),
+        (["--states", "0"], "--states must be at least 1, got 0"),
+        (["--states", "-3", "--trials", "0"], "--states must be at least 1, got -3"),
+    ],
+)
+def test_cmd_selftest_rejects_counts_below_1(capsys, argv, message):
+    code = main(["selftest"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_selftest_reports_broken_constructions(monkeypatch):
+    # Final flags flipped, the forward construction passed off as the
+    # reverse one, and a reduction that merges every state: the definition
+    # checks and the exact language check must each report a failure.
+    def flipped(a):
+        d = nerode(a)
+        return Dfa(d.m, d.alphabet, d.next, d.start, [not f for f in d.final],
+                   d.subset_of)
+
+    monkeypatch.setattr(selftest, "nerode", flipped)
+    monkeypatch.setattr(selftest, "reverse_nerode", nerode)
+    monkeypatch.setattr(
+        selftest, "reduce", lambda a, mode: factor(a, Partition.single_class(a.n))
+    )
+    out = io.StringIO()
+    assert selftest.run(max_states=4, seed=0, trials=10, out=out) == 1
+    for problem in (
+        "forward subset construction breaks its definition",
+        "reverse subset construction breaks its definition",
+        "fb reduction changed the language",
+    ):
+        assert problem in out.getvalue()
 
 
 def test_missing_file_exits_2(capsys):

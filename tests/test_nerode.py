@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from nfabisim.automaton import Nfa, bounded_language, factor, random_nfa, reverse
+from nfabisim.automaton import Nfa, bounded_language, factor, random_nfa
 from nfabisim.bisim import (
     greatest_weak_forward_bisim,
     reachable_terminal_pairs,
     wfb_equivalence_bound,
 )
 from nfabisim.nerode import Dfa, dfa_isomorphic, nerode, reverse_nerode
-from nfabisim.relcalc import BoolVec, is_uniform, rel_vec, vec_rel
+from nfabisim.relcalc import BoolRel, BoolVec, is_uniform, rel_vec, vec_rel
 
 from goldens import FWD_A, LANG_A, LANG_B, WEAK_A, WEAK_B, WEAK_A_MOD, WEAK_B_MOD
+from oracles import _members, reverse_oracle, subsets_oracle, sum_oracle
 
 
 def test_nerode_golden():
@@ -74,18 +75,83 @@ def test_reverse_nerode_golden():
     assert dfa.next[empty] == (empty,)
 
 
-def test_reverse_nerode_is_nerode_of_reverse():
-    # Equal, numbering and subset labels included.  The larger sizes cross
-    # the 4-column chunks of the preimage tables, at about three successors
-    # per state and symbol so that the constructions do not collapse.
-    rng = random.Random(71)
-    sizes = [rng.randint(1, 6) for _ in range(15)] + [5, 9, 17, 65] * 2
-    automata = [WEAK_A, LANG_A, LANG_B] + [
-        random_nfa(n, ("x", "y"), min(0.4, 3 / n), rng.randrange(1 << 30))
-        for n in sizes
+def _automaton(n, pairs, initial, terminal):
+    return Nfa(
+        n,
+        ("a", "b"),
+        {x: BoolRel.from_pairs(n, n, p) for x, p in pairs.items()},
+        [int(q in initial) for q in range(n)],
+        [int(q in terminal) for q in range(n)],
+    )
+
+
+def _ring_copies(rng, n, k):
+    """k copies of an n-ring (``a`` steps round, ``b`` loops, state 0 initial
+    and terminal), numbered by one seeded permutation; k = 1 is one ring."""
+    perm = rng.sample(range(n * k), n * k)
+    at = [[perm[c * n + q] for q in range(n)] for c in range(k)]
+    pairs = {
+        "a": [(ring[q], ring[(q + 1) % n]) for ring in at for q in range(n)],
+        "b": [(ring[q], ring[q]) for ring in at for q in range(n)],
+    }
+    return _automaton(n * k, pairs, {r[0] for r in at}, {r[0] for r in at})
+
+
+def _pooled(rng, n, degree, pool):
+    """Each successor set, per symbol, one of ``pool`` random sets."""
+    pairs = {}
+    for x in ("a", "b"):
+        sets = [rng.sample(range(n), min(degree, n)) for _ in range(pool)]
+        pairs[x] = [(q, t) for q in range(n) for t in sets[rng.randrange(pool)]]
+    return _automaton(n, pairs, set(rng.sample(range(n), 1 + n // 8)),
+                      set(rng.sample(range(n), 1 + n // 6)))
+
+
+def _shapes(n):
+    """A chain, a ring, ring copies and two pooled automata of size n: the
+    chains and rings step single states (the set-bit loop of the subset
+    step), the pooled ones dense subsets (its tables)."""
+    rng = random.Random(n)
+    chain = _automaton(n, {"a": [(q, q + 1) for q in range(n - 1)],
+                           "b": [(q, q) for q in range(n)]}, {0}, {n - 1})
+    return [chain, _ring_copies(rng, n, 1), _ring_copies(rng, n, 3),
+            _pooled(rng, n, 3, 4), _pooled(rng, n, n // 2 + 1, 3)]
+
+
+def _as_oracle_rows(dfa):
+    return [
+        (frozenset(_members(v)), list(row), final)
+        for v, row, final in zip(dfa.subset_of, dfa.next, dfa.final)
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 17, 65])
+def test_subset_constructions_match_the_oracle(n):
+    # Subset labels, numbering, rows and finals of both constructions, and
+    # the order of the terminal-vector pairs, against the set-based search.
+    # 9, 17 and 65 states end in a partial 4-column chunk.
+    rng = random.Random(71 + n)
+    automata = _shapes(n) + [
+        random_nfa(n, ("x", "y"), min(0.4, 3 / n), rng.randrange(1 << 30))
+        for _ in range(2)
+    ]
+    if n == 4:
+        automata += [WEAK_A]
+    if n == 3:
+        automata += [LANG_A, LANG_B]
     for a in automata:
-        assert reverse_nerode(a) == nerode(reverse(a))
+        assert nerode(a).start == reverse_nerode(a).start == 0
+        assert _as_oracle_rows(nerode(a)) == subsets_oracle(a)
+        assert _as_oracle_rows(reverse_nerode(a)) == subsets_oracle(reverse_oracle(a))
+    for a, b in zip(automata, automata[1:] + automata[:1]):
+        if set(a.alphabet) != set(b.alphabet):
+            continue
+        expected = [
+            ({p for p in s if p < a.n}, {p - a.n for p in s if p >= a.n})
+            for s, _, _ in subsets_oracle(reverse_oracle(sum_oracle(a, b)))
+        ]
+        pairs = reachable_terminal_pairs(a, b)
+        assert [(_members(ta), _members(tb)) for ta, tb in pairs] == expected
 
 
 def test_determinization_preserves_language_depth_8():

@@ -7,7 +7,7 @@ from nfabisim.relcalc import (
     BoolVec,
     Partition,
     _columns,
-    _preimages,
+    _unions,
     arrow_left,
     arrow_right,
     biarrow,
@@ -205,6 +205,31 @@ def test_inverse_is_transpose():
     assert inverse(FWD_PHI2) == BoolRel.from_bits(transpose)
 
 
+class _SliceCounter(list):
+    """A mask list that counts the slices taken of it: ``_unions`` slices
+    the list only to build its tables."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return super().__getitem__(key)
+
+
+def _selectors(rng, width):
+    """Selectors that force each path of ``_unions``: zero, single bits, and
+    two thirds as many bits as 4-column chunks (at 9 columns and more) take
+    the bit loop; as many bits as chunks, and all ones, take the tables."""
+    chunks = -(-width // 4)
+    out = [0, (1 << width) - 1] + [1 << c for c in range(width)]
+    for count in (2 * chunks // 3, chunks):
+        if 2 <= count <= width:
+            low = rng.sample(range(width - 1), count - 1)
+            out.append(sum(1 << c for c in low) | 1 << width - 1)
+    return out + [rng.getrandbits(width) for _ in range(5)]
+
+
 def test_preimage_tables_and_string_transpose_match_rel_vec_and_inverse():
     # Sizes on both sides of the 4-column chunks, rows of zero to two bits.
     rng = random.Random(25)
@@ -215,11 +240,26 @@ def test_preimage_tables_and_string_transpose_match_rel_vec_and_inverse():
             (a, rng.randrange(cols))
             for a in range(rows) for _ in range(rng.randint(0, 2))
         ])
-        preimage = _preimages(r)
-        singles = [1 << c for c in range(cols)]
-        for mask in singles + [rng.getrandbits(cols) for _ in range(5)]:
+        image = _unions(r.row_masks)
+        preimage = _unions(inverse(r).row_masks)
+        for mask in _selectors(rng, rows):
+            assert image(mask) == vec_rel(BoolVec(rows, mask), r).mask
+        for mask in _selectors(rng, cols):
             assert preimage(mask) == rel_vec(r, BoolVec(cols, mask)).mask
         assert _columns(r.row_masks, cols) == list(inverse(r).row_masks)
+
+
+def test_union_tables_are_built_once_and_only_for_dense_selectors():
+    rng = random.Random(26)
+    masks = _SliceCounter(rng.getrandbits(17) for _ in range(17))
+    union_of = _unions(masks)
+    # 17 positions make 5 chunks: up to 3 set bits take the bit loop.
+    for sel in (0, 1, 1 << 16, 0b10101 << 12):
+        union_of(sel)
+    assert masks.slices == 0
+    for sel in ((1 << 17) - 1, 0b111111, (1 << 17) - 1):
+        union_of(sel)
+    assert masks.slices == 5
 
 
 # --- arrow constructions -------------------------------------------------
