@@ -4,11 +4,12 @@ The strong kinds are decided by the paper's shrinking fixpoint: start from
 the largest relation compatible with the boundary vectors, intersect it with
 its per-symbol residual bounds round by round until stable, then test the two
 covering conditions that the fixpoint cannot enforce.  For fb (and bb, fb on
-the reversed automata) every round is one pass of partition refinement over
-the disjoint union of the two automata.  For bfb (and fbb) each round reads
-the bounds pair by pair and re-examines only the pairs whose neighbours lost
-a pair in the round before.  Both return the paper's exact sequence of
-relations.  The weak kinds read the finitely many reachable terminal-vector
+the reversed automata) every round is one round of partition refinement over
+the disjoint union of the two automata, which re-keys only the predecessors
+of the states split off in the round before once those are few.  For bfb
+(and fbb) each round reads the bounds pair by pair and re-examines only the
+pairs whose neighbours lost a pair in the round before.  Both return the
+paper's exact sequence of relations.  The weak kinds read the finitely many reachable terminal-vector
 pairs instead: the subsets of the reversed disjoint union A+B, found by the
 one breadth-first subset search (``nerode._subsets``) that also
 determinizes, and compare the states' membership signatures over them.
@@ -369,13 +370,12 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     return seq
 
 
-def _same_block(block: list, n_a: int, n_b: int) -> BoolRel:
-    """The pairs of A x B whose states share a block of A+B (A's states
-    first), each row read off one B-mask per block."""
+def _b_masks(block: list, n_a: int) -> dict:
+    """Per block id of A+B (A's states first), the mask of B's states in it."""
     masks = {}
     for j, k in enumerate(block[n_a:]):
         masks[k] = masks.get(k, 0) | 1 << j
-    return BoolRel(n_a, n_b, [masks.get(k, 0) for k in block[:n_a]])
+    return masks
 
 
 def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
@@ -384,23 +384,36 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
 
     The successors of A's states lie in A and those of B's in B, so phi_k is
     k-step bisimilarity on the disjoint union A+B restricted to A x B.  Each
-    round is one pass of naive partition refinement over the a.n + b.n
-    states (``automaton._refine``, the engine ``find_isomorphism`` also
-    runs): two states share a block after round k + 1 when they shared one
-    after round k and, per symbol, their successors meet the same blocks.
-    The sequence ends as the paper's does, once phi repeats or is empty,
-    even while blocks inside A or inside B still split.
+    round is one round of partition refinement over the a.n + b.n states
+    (``automaton._refine``, the engine ``find_isomorphism`` also runs): two
+    states share a block after round k + 1 when they shared one after round
+    k and, per symbol, their successors meet the same blocks.  Row i of
+    phi_k is the mask of B's states in the block of A's state i; the masks
+    are rebuilt after a round that renumbered the blocks and otherwise
+    updated for the B states that moved.  The sequence ends as the paper's
+    does, once phi repeats or is empty, even while blocks inside A or inside
+    B still split.
     """
     s = _sum(a, b)
     succ = [_index_lists(s.delta[x]) for x in s.alphabet]
     block = [s.tau.mask >> i & 1 for i in range(s.n)]
-    seq = [_same_block(block, a.n, b.n)]
+    masks = _b_masks(block, a.n)
     rounds = _refine(block, succ)
-    while not seq[-1].is_empty():
-        seq.append(_same_block(next(rounds), a.n, b.n))
-        if seq[-1] == seq[-2]:
-            break
-    return seq
+    seq = []
+    while True:
+        seq.append(BoolRel(a.n, b.n, [masks.get(k, 0) for k in block[:a.n]]))
+        if seq[-1].is_empty() or len(seq) > 1 and seq[-1] == seq[-2]:
+            return seq
+        new, moved = next(rounds)
+        if moved is None:
+            masks = _b_masks(new, a.n)
+        else:
+            for i in moved:
+                if i >= a.n:
+                    bit = 1 << i - a.n
+                    masks[block[i]] ^= bit
+                    masks[new[i]] = masks.get(new[i], 0) | bit
+        block = new
 
 
 def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:

@@ -276,27 +276,25 @@ def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
     else:
         raise ValueError(f"unknown fixpoint kind {kind!r}")
 
+    # Per symbol, each state's successors and predecessors in A and in B.
+    ends = [
+        [{p: {e[1 - end] for e in es if e[end] == p} for p in range(c.n)}
+         for end in (0, 1) for es, c in ((ea, a), (eb, b))]
+        for ea, eb in edges
+    ]
+
     def stays(p, q, phi):
-        for ea, eb in edges:
+        for out_a, out_b, in_a, in_b in ends:
             # (d_A^x o phi) / d_B^x: every q -x-> q2 has some p -x-> p2, p2 phi q2
-            if not all(
-                any((p2, q2) in phi for p_from, p2 in ea if p_from == p)
-                for q_from, q2 in eb if q_from == q
-            ):
+            if not all(any((p2, q2) in phi for p2 in out_a[p]) for q2 in out_b[q]):
                 return False
             if kind == "fb":
                 # every p -x-> p2 has some q -x-> q2 with p2 phi q2
-                partners = [
-                    any((p2, q2) in phi for q_from, q2 in eb if q_from == q)
-                    for p_from, p2 in ea if p_from == p
-                ]
+                left, right = out_a[p], out_b[q]
             else:
                 # every p0 -x-> p has some q0 -x-> q with p0 phi q0
-                partners = [
-                    any((p0, q0) in phi for q0, q_to in eb if q_to == q)
-                    for p0, p_to in ea if p_to == p
-                ]
-            if not all(partners):
+                left, right = in_a[p], in_b[q]
+            if not all(any((p0, q0) in phi for q0 in right) for p0 in left):
                 return False
         return True
 
@@ -308,6 +306,37 @@ def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
             break
         pairs = nxt
     return [BoolRel.from_pairs(a.n, b.n, phi) for phi in seq]
+
+
+def refine_oracle(block, tables) -> list:
+    """The rounds of naive partition refinement, each a set of blocks
+    (frozensets of states), ending with the first round that splits nothing.
+
+    ``block`` labels the states 0..n-1 and each table lists every state's
+    neighbours.  Two states share a block after round k + 1 when they shared
+    one after round k and, for every table and every block C after round k,
+    both or neither has a neighbour in C.
+    """
+    n = len(block)
+    blocks = {frozenset(i for i in range(n) if block[i] == label)
+              for label in set(block)}
+    rounds = []
+    while True:
+        order = list(blocks)
+        meets = [[[bool(c.intersection(t[i])) for c in order] for t in tables]
+                 for i in range(n)]
+        parts = set()
+        for c in blocks:
+            rest = set(c)
+            while rest:
+                first = meets[min(rest)]
+                part = frozenset(j for j in rest if meets[j] == first)
+                parts.add(part)
+                rest -= part
+        rounds.append(parts)
+        if len(parts) == len(blocks):
+            return rounds
+        blocks = parts
 
 
 def weak_oracle(kind: str, a: Nfa, b: Nfa) -> tuple:

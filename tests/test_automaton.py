@@ -1,11 +1,15 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfabisim.automaton import (
     Nfa,
+    _refine,
     accepts,
     bounded_language,
     delta_word,
@@ -47,6 +51,7 @@ from oracles import (
     isomorphism_oracle,
     language_oracle,
     random_partition,
+    refine_oracle,
     subautomaton_oracle,
 )
 
@@ -399,6 +404,111 @@ def test_find_isomorphism_rejects_colours_that_part_late():
         return Nfa(base, ("x",), {"x": rel}, [0] * base, tau)
 
     assert find_isomorphism(rings(30, 30), rings(20, 40)) is None
+
+
+# --- the refinement engine against naive rounds ------------------------------
+
+
+def _refine_rounds(block, tables):
+    """``_refine``'s rounds as sets of blocks.  Along the way it checks what
+    callers read besides the partition: ``moved`` lists exactly the states
+    whose id changed, and a split block leaves its id to a largest piece."""
+    rounds, prev = [], block
+    for new, moved in _refine(block, tables):
+        if moved is not None:
+            assert set(moved) == {i for i, (p, q) in enumerate(zip(prev, new)) if p != q}
+            pieces = Counter(zip(prev, new))
+            assert all(pieces[p, p] >= size for (p, _), size in pieces.items())
+        rounds.append({frozenset(i for i, q in enumerate(new) if q == b)
+                       for b in set(new)})
+        prev = new
+    return rounds
+
+
+def _with_preds(succ):
+    """A successor table and its predecessor table, the shape of one symbol
+    in ``find_isomorphism``'s colouring."""
+    pred = [[] for _ in succ]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            pred[j].append(i)
+    return [succ, pred]
+
+
+def _cycles(*sizes):
+    """Labels and tables of disjoint cycles, each with its first state
+    terminal, labelled (initial, terminal) as ``find_isomorphism`` does."""
+    succ, block = [], []
+    for size in sizes:
+        base = len(succ)
+        succ += [[base + (i + 1) % size] for i in range(size)]
+        block += [(False, i == 0) for i in range(size)]
+    return block, _with_preds(succ)
+
+
+def _stars(length=10, stars=20, loops=5):
+    """A chain 0..length into its one marked state, ``stars`` states that
+    step to the chain's first state and ``loops`` states on self-loops.  Once
+    the chain's first state splits off, the stars are keyed and the loops are
+    not, and the stars outnumber them."""
+    succ = [[q + 1] for q in range(length)] + [[]]
+    succ += [[0]] * stars
+    succ += [[len(succ) + q] for q in range(loops)]
+    block = ["end" if q == length else "mid" for q in range(len(succ))]
+    return block, [succ]
+
+
+@st.composite
+def _refine_inputs(draw):
+    shape = draw(st.sampled_from(("random", "line", "cycles")))
+    if shape == "random":
+        n = draw(st.integers(1, 10))
+        labels = draw(st.sampled_from(
+            (st.integers(0, 2), st.tuples(st.booleans(), st.booleans()))
+        ))
+        neighbours = st.lists(st.integers(0, n - 1), max_size=3)
+        tables = draw(st.lists(
+            st.lists(neighbours, min_size=n, max_size=n), min_size=1, max_size=3
+        ))
+        return draw(st.lists(labels, min_size=n, max_size=n)), tables
+    if shape == "cycles":
+        sizes = st.lists(st.integers(2, 16), min_size=1, max_size=3)
+        return _cycles(*draw(sizes), *draw(sizes))
+    # A chain or ring long enough that its later rounds split off less than
+    # an eighth of the states, with a few extra edges and marks.
+    n = draw(st.integers(16, 32))
+    succ = [[q + 1] for q in range(n - 1)] + [[0] if draw(st.booleans()) else []]
+    for _ in range(draw(st.integers(0, 3))):
+        succ[draw(st.integers(0, n - 1))].append(draw(st.integers(0, n - 1)))
+    marks = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+    block = [q in marks for q in range(n)]
+    return block, _with_preds(succ) if draw(st.booleans()) else [succ]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_refine_inputs())
+@example(_cycles(30, 30, 20, 40))
+@example(_stars())
+@example(([0, 0, 1], [[[], [], []]]))
+def test_refine_rounds_are_the_naive_rounds(inputs):
+    block, tables = inputs
+    assert _refine_rounds(block, tables) == refine_oracle(block, tables)
+
+
+def test_refine_rounds_run_on_predecessors_of_split_pieces():
+    # A chain splits one state off its unmarked block per round, so every
+    # round after the first keys only a few states.
+    n = 64
+    block = [q == n - 1 for q in range(n)]
+    tables = _with_preds([[q + 1] for q in range(n - 1)] + [[]])
+    rounds = list(_refine(block, tables))
+    assert [moved is None for _, moved in rounds] == [True] + [False] * (len(rounds) - 1)
+    assert _refine_rounds(block, tables) == refine_oracle(block, tables)
+    # When the keyed stars outnumber the loops, the stars keep their id and
+    # the loops move.
+    parting = [set(moved) for _, moved in _refine(*_stars())
+               if moved and set(moved) & set(range(11, 36))]
+    assert parting == [set(range(31, 36))]
 
 
 def test_is_isomorphism_rejects_non_bijections():

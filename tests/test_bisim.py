@@ -407,6 +407,19 @@ def test_fb_steps_match_the_paper_rounds_on_larger_automata():
         assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
 
 
+@pytest.mark.parametrize(
+    "n, closed, shorter",
+    [(40, False, True), (40, True, False), (70, True, True), (100, False, False)],
+)
+def test_fb_steps_match_the_paper_rounds_on_deep_automata(n, closed, shorter):
+    # After the first round each round splits off a state or two, so the
+    # refinement keys only their predecessors; against a one-shorter copy
+    # the ring's relation keeps shrinking for about 2n rounds.
+    a = _line(n, closed)
+    b = _line(n - 1, closed) if shorter else a
+    assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_automaton_pairs())
 @example(_EMPTY_START)
