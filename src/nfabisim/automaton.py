@@ -386,9 +386,21 @@ def find_isomorphism(a: Nfa, b: Nfa):
     tables = [_index_lists(r) for r in rels]
     masks_b = [[m >> n for m in r.row_masks[n:]] for r in rels]
     block = [(s.sigma.mask >> i & 1, s.tau.mask >> i & 1) for i in range(2 * n)]
-    for block, _ in _refine(block, tables):
-        if Counter(block[:n]) != Counter(block[n:]):
+    # Per colour, its A states minus its B states, updated for the states a
+    # round moved; a full round renumbers every colour, so all states move
+    # there, from no colour.
+    balance = Counter()
+    for new, moved in _refine(block, tables):
+        if moved is None:
+            balance.clear()
+            block, moved = [None] * (2 * n), range(2 * n)
+        for i in moved:
+            step = 1 if i < n else -1
+            balance[block[i]] -= step
+            balance[new[i]] += step
+        if any(balance[block[i]] or balance[new[i]] for i in moved):
             return None
+        block = new
     buckets = {}
     for j, c in enumerate(block[n:]):
         buckets.setdefault(c, []).append(j)

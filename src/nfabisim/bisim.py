@@ -7,12 +7,13 @@ covering conditions that the fixpoint cannot enforce.  For fb (and bb, fb on
 the reversed automata) every round is one round of partition refinement over
 the disjoint union of the two automata, which re-keys only the predecessors
 of the states split off in the round before once those are few.  For bfb
-(and fbb) each round reads the bounds pair by pair and re-examines only the
-pairs whose neighbours lost a pair in the round before.  Both return the
-paper's exact sequence of relations.  The weak kinds read the finitely many reachable terminal-vector
-pairs instead: the subsets of the reversed disjoint union A+B, found by the
-one breadth-first subset search (``nerode._subsets``) that also
-determinizes, and compare the states' membership signatures over them.
+(and fbb) each round after the first re-tests, row by row and column by
+column, only the witnesses that the round before removed.  Both return the
+paper's exact sequence of relations.  The weak kinds read the finitely many
+reachable terminal-vector pairs instead: the subsets of the reversed
+disjoint union A+B, found by the one breadth-first subset search
+(``nerode._subsets``) that also determinizes, and compare the states'
+membership signatures over them.
 
 Condition names used in reports:
 
@@ -30,8 +31,6 @@ checked as its forward dual on the reversed automata.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,8 +47,8 @@ from .relcalc import (
     BoolRel,
     BoolVec,
     Partition,
-    _bit_indices,
     _columns,
+    _unions,
     arrow_left,
     arrow_right,
     compose,
@@ -201,11 +200,13 @@ _HALVES = {
 
 def _weak_conditions(kind, a, b, phi, inv):
     pairs = reachable_terminal_pairs(a, b)
-    holds = all(vec_rel(ta, phi).issubset(tb) for ta, tb in pairs)
+    image = _unions(phi.row_masks)
+    holds = all(not image(ta.mask) & ~tb.mask for ta, tb in pairs)
     conds = [("weak-terminal", holds)]
     cover = ("initial-forward",)
     if kind is BisimKind.WEAK_FORWARD_BISIM:
-        holds = all(vec_rel(tb, inv).issubset(ta) for ta, tb in pairs)
+        image = _unions(inv.row_masks)
+        holds = all(not image(tb.mask) & ~ta.mask for ta, tb in pairs)
         conds.append(("weak-terminal-rev", holds))
         cover += ("initial-backward",)
     return conds + [(name, _COVER[name](a, b, phi)) for name in cover]
@@ -249,62 +250,51 @@ def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
     return CheckResult(kind, all(ok for _, ok in conds), tuple(conds))
 
 
-def _neighbours(a: Nfa, symbols, backward: bool) -> list:
-    """Per symbol: each state's x-successors (x-predecessors when backward)
-    as index lists and as masks, and the masks of the opposite direction,
-    whose union over a set of states is that set's preimage."""
-    out = []
-    for x in symbols:
-        rels = a.delta[x], inverse(a.delta[x])
-        near, back = rels[::-1] if backward else rels
-        out.append((_index_lists(near), near.row_masks, back.row_masks))
+def _lost_witnesses(lines, removed, top, sides) -> dict:
+    """Pairs (i, j) of phi_k, as a mask of j per line i, for which some
+    symbol breaks N(j) <= U(i), the union of lines[u] over u in N(i).
+
+    ``removed`` holds the pairs that the round before took out, by line, or
+    is None in round 0, where every line is checked in full.  Otherwise only
+    the lines i that select a removed line u are checked, and only for the
+    states those removals took out of U(i): ``lost & ~U(i)``."""
+    out = {}
+    for select, selected_by, fails_on in sides:
+        if removed is None:
+            lost = {i: top for i, m in enumerate(lines) if m}
+        else:
+            lost = {}
+            for u, m in removed.items():
+                for i in selected_by[u]:
+                    lost[i] = lost.get(i, 0) | m
+        union = _unions(lines)
+        for i, m in lost.items():
+            miss = m & ~union(select[i])
+            if miss:
+                hit = fails_on(miss) & lines[i]
+                if hit:
+                    out[i] = out.get(i, 0) | hit
     return out
 
 
-def _union(masks, indices) -> int:
-    """Union of masks[i] over the given indices."""
-    return functools.reduce(operator.or_, map(masks.__getitem__, indices), 0)
-
-
-def _transpose(lines: dict) -> dict:
-    """Pairs given as {i: mask of j}, returned as {j: mask of i}."""
-    out = {}
-    for i, m in lines.items():
+def _take_out(pairs, lines, others, gone_lines, gone_others) -> None:
+    """Remove the pairs (i, j), given as a mask of j per line i, that phi
+    still holds.  phi is kept twice, as ``lines`` and as their transpose
+    ``others``, and the pairs removed are added to ``gone_lines`` and
+    ``gone_others`` in the same two forms."""
+    for i, m in pairs.items():
+        m &= lines[i]
+        if not m:
+            continue
+        lines[i] ^= m
+        gone_lines[i] = gone_lines.get(i, 0) | m
         bit = 1 << i
-        for j in _bit_indices(m):
-            out[j] = out.get(j, 0) | bit
-    return out
-
-
-def _failures(lines, cand, near, far, top) -> dict:
-    """Candidate pairs (i, j), as a mask of j per line i, for which some
-    symbol breaks N(j) <= union of lines[u] over u in N(i).
-
-    near and far are the neighbours (see ``_neighbours``) of the line side
-    and of the other side.  A line's failing set is the preimage of the
-    union's complement when that complement has fewer bits than the
-    candidates left, and is tested candidate by candidate otherwise."""
-    out = {}
-    for i, left in cand.items():
-        fail = 0
-        for (lists, _, _), (_, masks, back) in zip(near, far):
-            miss = top & ~_union(lines, lists[i])
-            if not miss:
-                continue
-            if miss.bit_count() < left.bit_count():
-                hit = left & _union(back, _bit_indices(miss))
-            else:
-                hit = 0
-                for j in _bit_indices(left):
-                    if masks[j] & miss:
-                        hit |= 1 << j
-            fail |= hit
-            left ^= hit
-            if not left:
-                break
-        if fail:
-            out[i] = fail
-    return out
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            others[j] ^= bit
+            gone_others[j] = gone_others.get(j, 0) | bit
+            m ^= low
 
 
 def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
@@ -313,8 +303,8 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
 
     For every symbol x, with S and P the x-successors and x-predecessors, a
     pair (a, b) stays in the next round when
-      over rows:    S(b) <= union of row u of phi over u in S(a)
-      over columns: P(a) <= union of column v of phi over v in P(b)
+      over rows:    S(b) <= U(a), the union of row u of phi over u in S(a)
+      over columns: P(a) <= V(b), the union of column v of phi over v in P(b)
     which are the bounds residual_left(delta_A o phi, delta_B) and
     residual_right(phi o delta_B, delta_A).  A bfb is not an equivalence, so
     unlike the forward rounds (``forward_bisim_steps``) this fixpoint removes
@@ -322,51 +312,43 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
 
     Each round removes, all at once, the pairs of phi_k that break a
     condition against phi_k; the sequence ends once a round removes nothing
-    (its last two relations coincide) or phi is empty.  A condition at
-    (a, b) reads phi only on S(a) x S(b) and P(a) x P(b), so after the first
-    round, which examines all of phi_0, a round examines only the pairs that
-    have a neighbour pair removed in the round before.
+    (its last two relations coincide) or phi is empty.  Round 0 checks
+    every row and column in full.  Later rounds are semi-naive (Henzinger,
+    Henzinger & Kopke, 1995, without their per-pair counters): a pair of
+    phi_k passed the round before, so S(b) <= U_{k-1}(a), and it breaks the
+    row condition now exactly when S(b) meets U_{k-1}(a) minus U_k(a).
+    That set is ``lost & ~U_k(a)``, with ``lost`` the union of the removed
+    parts of the rows u in S(a), so only rows a above a removed row are
+    re-tested, and a fails at the B-preimage of that set.  Columns are the
+    mirror image.  Every round thus removes the paper's pairs and no others.
     """
     _require_same_alphabet(a, b)
-    succ_a, pred_a = (_neighbours(a, a.alphabet, back) for back in (False, True))
-    succ_b, pred_b = (_neighbours(b, a.alphabet, back) for back in (False, True))
+    # Per symbol, what each condition reads: each line's selector mask, the
+    # lines that select each state, and the union function that turns missed
+    # states into the other side's failing ones.  Rows select by A's
+    # successors and fail at B's preimages; columns select by B's
+    # predecessors and fail at A's images.
+    row_sides, col_sides = [], []
+    for x in a.alphabet:
+        fa, fb = a.delta[x], b.delta[x]
+        ra, rb = inverse(fa), inverse(fb)
+        row_sides.append((fa.row_masks, _index_lists(ra), _unions(rb.row_masks)))
+        col_sides.append((rb.row_masks, _index_lists(fb), _unions(fa.row_masks)))
     top_a, top_b = (1 << a.n) - 1, (1 << b.n) - 1
     rows = list(phi.row_masks)
     cols = list(phi_inv.row_masks)
-    cand = {i: m for i, m in enumerate(rows) if m}
-    cand_cols = {j: m for j, m in enumerate(cols) if m}
-    deps = [
-        (back_a, back_b)
-        for side_a, side_b in ((succ_a, succ_b), (pred_a, pred_b))
-        for (_, _, back_a), (_, _, back_b) in zip(side_a, side_b)
-    ]
+    gone_rows = gone_cols = None
     seq = [phi]
     while any(rows):
-        removed = _failures(rows, cand, succ_a, succ_b, top_b)
-        found = _transpose(_failures(cols, cand_cols, pred_b, pred_a, top_a))
-        for i, m in found.items():
-            removed[i] = removed.get(i, 0) | m
-        # One pass over each removed row applies it to the column masks and
-        # marks its neighbour pairs as the next round's candidates.
-        cand = {}
-        for i, m in removed.items():
-            rows[i] &= ~m
-            bit = 1 << i
-            # A list, not a tuple: CPython keeps freed small tuples on free
-            # lists, which measurably raised peak memory.
-            removed_at = list(_bit_indices(m))
-            for j in removed_at:
-                cols[j] &= ~bit
-            for back_a, back_b in deps:
-                pre = _union(back_b, removed_at)
-                if pre:
-                    for k in _bit_indices(back_a[i]):
-                        cand[k] = cand.get(k, 0) | pre
+        by_row = _lost_witnesses(rows, gone_rows, top_b, row_sides)
+        by_col = _lost_witnesses(cols, gone_cols, top_a, col_sides)
+        # Both conditions read phi_k; a pair both find is taken out once.
+        gone_rows, gone_cols = {}, {}
+        _take_out(by_row, rows, cols, gone_rows, gone_cols)
+        _take_out(by_col, cols, rows, gone_cols, gone_rows)
         seq.append(BoolRel(a.n, b.n, rows))
-        if not removed:
+        if not gone_rows:
             break
-        cand = {i: m & rows[i] for i, m in cand.items() if m & rows[i]}
-        cand_cols = _transpose(cand)
     return seq
 
 

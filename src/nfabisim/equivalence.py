@@ -38,6 +38,7 @@ from .relcalc import (
     BoolRel,
     Partition,
     _uniformity_problems,
+    _unions,
     cokernel,
     compose,
     induced_bijection,
@@ -218,10 +219,11 @@ def weak_forward_isomorphism(a: Nfa, b: Nfa):
 def is_weak_forward_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     """Definition check for weak forward isomorphisms."""
     m = _bijection(a, b, phi)
-    return (
-        m is not None
-        and vec_rel(a.sigma, m) == b.sigma
-        and all(vec_rel(ta, m) == tb for ta, tb in reachable_terminal_pairs(a, b))
+    if m is None:
+        return False
+    image = _unions(m.row_masks)
+    return image(a.sigma.mask) == b.sigma.mask and all(
+        image(ta.mask) == tb.mask for ta, tb in reachable_terminal_pairs(a, b)
     )
 
 

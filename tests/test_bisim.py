@@ -369,7 +369,8 @@ def _sparse(rng, n, alphabet):
 def _blown_up(rng, a, extra):
     """A relabelled copy of a with ``extra`` more states, each one a copy of
     a random state (same successors and terminal bit, so forward
-    bisimilar to it), declared over a shuffled alphabet order."""
+    bisimilar to it, but never initial), declared over a shuffled alphabet
+    order."""
     n = a.n + extra
     origin = list(range(a.n)) + [rng.randrange(a.n) for _ in range(extra)]
     perm = list(range(n))
@@ -384,10 +385,11 @@ def _blown_up(rng, a, extra):
         ])
         for x in alphabet
     }
-    tau = [False] * n
+    sigma, tau = [False] * n, [False] * n
     for q in range(n):
+        sigma[perm[q]] = q < a.n and a.sigma[q]
         tau[perm[q]] = a.tau[origin[q]]
-    return Nfa(n, alphabet, delta, [False] * n, tau)
+    return Nfa(n, alphabet, delta, sigma, tau)
 
 
 def test_fb_steps_match_the_paper_rounds_on_larger_automata():
@@ -405,19 +407,29 @@ def test_fb_steps_match_the_paper_rounds_on_larger_automata():
                 b = _blown_up(rng, b, 1)
         assert a.n != b.n
         assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
+        assert backward_forward_bisim_steps(a, b) == fixpoint_steps_oracle("bfb", a, b)
 
 
 @pytest.mark.parametrize(
     "n, closed, shorter",
-    [(40, False, True), (40, True, False), (70, True, True), (100, False, False)],
+    [(40, False, True), (40, True, False), (70, True, True), (100, False, False),
+     pytest.param(64, False, None, id="64-False-copy"),
+     pytest.param(64, True, None, id="64-True-copy")],
 )
 def test_fb_steps_match_the_paper_rounds_on_deep_automata(n, closed, shorter):
     # After the first round each round splits off a state or two, so the
     # refinement keys only their predecessors; against a one-shorter copy
-    # the ring's relation keeps shrinking for about 2n rounds.
+    # the ring's relation keeps shrinking for about 2n rounds.  Against a
+    # relabelled copy (shorter is None), as in the benchmark's bfb cases,
+    # bfb's phi_0 is nearly full and about n/2 rounds each remove about 2n
+    # pairs, so each round re-tests the rows above the last round's removals.
     a = _line(n, closed)
-    b = _line(n - 1, closed) if shorter else a
+    if shorter is None:
+        b = _blown_up(random.Random(n), a, 0)
+    else:
+        b = _line(n - 1, closed) if shorter else a
     assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
+    assert backward_forward_bisim_steps(a, b) == fixpoint_steps_oracle("bfb", a, b)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -441,8 +453,9 @@ def test_fixpoint_steps_are_the_paper_rounds(pair):
 @pytest.mark.parametrize(
     "greatest, closed, rounds",
     [(greatest_forward_bisim, False, 255),
+     (greatest_backward_forward_bisim, False, 129),
      (greatest_backward_forward_bisim, True, 128)],
-    ids=["fb-chain", "bfb-ring"],
+    ids=["fb-chain", "bfb-chain", "bfb-ring"],
 )
 def test_fixpoint_on_256_states_takes_seconds(greatest, closed, rounds):
     a = _line(256, closed)
