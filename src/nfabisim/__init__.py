@@ -33,7 +33,6 @@ from .relcalc import (
 from .automaton import (
     Nfa,
     accepts,
-    bounded_language,
     delta_word,
     factor,
     find_isomorphism,

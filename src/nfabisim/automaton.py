@@ -29,7 +29,6 @@ __all__ = [
     "sigma_u",
     "tau_u",
     "accepts",
-    "bounded_language",
     "reverse",
     "factor",
     "subautomaton",
@@ -136,35 +135,6 @@ def tau_u(a: Nfa, u) -> BoolVec:
 
 def accepts(a: Nfa, u) -> bool:
     return scalar(sigma_u(a, u), a.tau)
-
-
-def bounded_language(a: Nfa, maxlen: int) -> list:
-    """All accepted words of length <= maxlen, in length-then-lex order.
-
-    Lexicographic order follows the alphabet declaration order.  The frontier
-    of each prefix is a single state vector, and prefixes with an empty
-    frontier are pruned.
-    """
-    if maxlen < 0:
-        raise ValueError("maxlen must be nonnegative")
-    out = []
-    level = [((), a.sigma)]
-    for length in range(maxlen + 1):
-        for word, frontier in level:
-            if scalar(frontier, a.tau):
-                out.append(word)
-        if length == maxlen:
-            break
-        nxt = []
-        for word, frontier in level:
-            for x in a.alphabet:
-                succ = vec_rel(frontier, a.delta[x])
-                if not succ.is_empty():
-                    nxt.append((word + (x,), succ))
-        level = nxt
-        if not level:
-            break
-    return out
 
 
 def reverse(a: Nfa) -> Nfa:

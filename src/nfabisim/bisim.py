@@ -10,10 +10,11 @@ of the states split off in the round before once those are few.  For bfb
 (and fbb) each round after the first re-tests, row by row and column by
 column, only the witnesses that the round before removed.  Both return the
 paper's exact sequence of relations.  The weak kinds read the finitely many
-reachable terminal-vector pairs instead: the subsets of the reversed
-disjoint union A+B, found by the one breadth-first subset search
-(``nerode._subsets``) that also determinizes, and compare the states'
-membership signatures over them.
+reachable vector pairs instead, found by the one breadth-first subset search
+(``nerode._subsets``) that also determinizes: the weak forward kinds the
+terminal-vector pairs, the subsets of the reversed disjoint union A+B, and
+wbb the initial-vector pairs, the subsets of A+B itself.  They compare the
+states' membership signatures over them.
 
 Condition names used in reports:
 
@@ -146,6 +147,7 @@ _COVER = {
     "initial-forward": lambda a, b, phi: a.sigma.issubset(rel_vec(phi, b.sigma)),
     "initial-backward": lambda a, b, phi: b.sigma.issubset(vec_rel(a.sigma, phi)),
     "terminal-forward": lambda a, b, phi: a.tau.issubset(rel_vec(phi, b.tau)),
+    "terminal-backward": lambda a, b, phi: b.tau.issubset(vec_rel(a.tau, phi)),
 }
 
 
@@ -487,10 +489,11 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
 
 
 def _signatures(c: Nfa) -> tuple:
-    """The number of reachable terminal vectors of c and each state's
-    signature, whose bit k says whether the state lies in the k-th vector:
-    equal signatures agree on every tau_u.  On A+B, A's come first."""
-    vectors = [m for m, _ in _subsets(reverse(c))]
+    """The number of subsets the search over c reaches and each state's
+    signature, whose bit k says whether the state lies in the k-th subset.
+    On ``reverse(c)`` the subsets are c's terminal vectors tau_u, on c its
+    initial vectors sigma_u.  On A+B, A's states come first."""
+    vectors = [m for m, _ in _subsets(c)]
     return len(vectors), _columns(vectors, c.n)
 
 
@@ -498,7 +501,7 @@ def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak forward simulation: states related when every
     terminal-vector membership of the left one carries over to the right,
     that is, when the left signature is contained in the right one."""
-    count, sig = _signatures(_sum(a, b))
+    count, sig = _signatures(reverse(_sum(a, b)))
     sig_a, sig_b = sig[:a.n], sig[a.n:]
     lam = BoolRel(a.n, b.n, [
         sum(1 << j for j, t in enumerate(sig_b) if not s & ~t) for s in sig_a
@@ -508,32 +511,45 @@ def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
     )
 
 
-def greatest_weak_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
-    """Greatest weak forward bisimulation: memberships must agree exactly,
-    so the related states are those with equal signatures."""
-    count, sig = _signatures(_sum(a, b))
+def _equal_signatures(kind, a, b, c, cover) -> BisimReport:
+    """The relation of the states of A and B whose signatures over the
+    subsets of c, a search over A+B, are equal."""
+    count, sig = _signatures(c)
     sig_a, sig_b = sig[:a.n], sig[a.n:]
     same = {}
     for j, t in enumerate(sig_b):
         same[t] = same.get(t, 0) | 1 << j
     mu = BoolRel(a.n, b.n, [same.get(s, 0) for s in sig_a])
-    return _report(
-        BisimKind.WEAK_FORWARD_BISIM, a, b, mu, count,
+    return _report(kind, a, b, mu, count, cover)
+
+
+def greatest_weak_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
+    """Greatest weak forward bisimulation: memberships in the terminal
+    vectors must agree exactly, so the related states are those with equal
+    signatures."""
+    return _equal_signatures(
+        BisimKind.WEAK_FORWARD_BISIM, a, b, reverse(_sum(a, b)),
         ("initial-forward", "initial-backward"),
     )
 
 
 def greatest_weak_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
-    rep = greatest_weak_forward_bisim(reverse(a), reverse(b))
-    return _dualize(rep, BisimKind.WEAK_BACKWARD_BISIM)
+    """Greatest weak backward bisimulation: the same over the initial
+    vectors sigma_u, found by searching A+B itself."""
+    return _equal_signatures(
+        BisimKind.WEAK_BACKWARD_BISIM, a, b, _sum(a, b),
+        ("terminal-forward", "terminal-backward"),
+    )
 
 
 def wfb_equivalence_bound(a: Nfa) -> Partition:
     """Greatest weak-forward-bisimulation equivalence: states grouped by
     agreeing on every reachable terminal vector.  Every equivalence below it
     is again a weak forward bisimulation; none above it is."""
-    return Partition(_signatures(a)[1])
+    return Partition(_signatures(reverse(a))[1])
 
 
 def wbb_equivalence_bound(a: Nfa) -> Partition:
-    return wfb_equivalence_bound(reverse(a))
+    """The same over the initial vectors: states grouped by agreeing on
+    every reachable sigma_u."""
+    return Partition(_signatures(a)[1])

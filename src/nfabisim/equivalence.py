@@ -20,6 +20,7 @@ from .automaton import (
     factor,
     find_isomorphism,
     is_isomorphism,
+    reverse,
 )
 from .bisim import (
     BisimKind,
@@ -186,7 +187,8 @@ def _weak_signatures(a: Nfa, b: Nfa):
     """Per-state membership signatures over sigma and the reachable
     terminal vectors: bit 0 for sigma and bit k + 1 for the k-th pair."""
     c = _sum(a, b)
-    sig = [s << 1 | c.sigma.mask >> i & 1 for i, s in enumerate(_signatures(c)[1])]
+    sig = _signatures(reverse(c))[1]
+    sig = [s << 1 | c.sigma.mask >> i & 1 for i, s in enumerate(sig)]
     return sig[:a.n], sig[a.n:]
 
 

@@ -42,20 +42,6 @@ class Dfa:
             q = self.step(q, x)
         return self.final[q]
 
-    def bounded_language(self, maxlen: int) -> list:
-        out = []
-        level = [((), self.start)]
-        for length in range(maxlen + 1):
-            out.extend(word for word, q in level if self.final[q])
-            if length == maxlen:
-                break
-            level = [
-                (word + (x,), self.next[q][k])
-                for word, q in level
-                for k, x in enumerate(self.alphabet)
-            ]
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Dfa)
@@ -110,8 +96,7 @@ def nerode(a: Nfa) -> Dfa:
 
     State q reached by word u stands for the vector of states reachable from
     an initial state by u; q is final when that vector meets the terminal
-    states.  The bounded language agrees with the source automaton at every
-    depth.
+    states, so the DFA accepts exactly the words the source automaton does.
     """
     return _determinize(a)
 

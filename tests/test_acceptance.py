@@ -9,7 +9,6 @@ import random
 import time
 
 from nfabisim.automaton import (
-    bounded_language,
     factor,
     find_isomorphism,
     random_nfa,
@@ -70,6 +69,7 @@ from oracles import (
     all_partitions,
     bfb_oracle,
     bfb_violations,
+    language_oracle,
     random_functional_relation,
     random_uniform_relation,
 )
@@ -150,8 +150,8 @@ def test_criterion_03_language_equal_pair():
         not direct_ok
         and not structural_ok
         and not verdict.equivalent
-        and bounded_language(LANG_A, 6) == [("x",)]
-        and bounded_language(LANG_B, 6) == [("x",)]
+        and language_oracle(LANG_A, 6) == [("x",)]
+        and language_oracle(LANG_B, 6) == [("x",)]
         and elapsed < 1.0
     )
     _report(3, "language-equal pair rejected by both strong decision paths", ok)
@@ -166,7 +166,7 @@ def test_criterion_04_weak_golden():
     modified = wfb_equivalent(WEAK_A_MOD, WEAK_B_MOD)
     langs_equal = (
         language_equivalent(WEAK_A_MOD, WEAK_B_MOD).equivalent
-        and bounded_language(WEAK_A_MOD, 6) == [()]
+        and language_oracle(WEAK_A_MOD, 6) == [()]
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -213,9 +213,9 @@ def test_criterion_06_reduction_preserves_language():
     for _ in range(500):
         a = random_nfa(rng.randint(1, 8), ("x", "y"),
                        rng.choice((0.15, 0.3, 0.5)), rng.randrange(1 << 30))
-        reference = set(bounded_language(a, 6))
+        reference = language_oracle(a, 6)
         for mode in REDUCTION_MODES:
-            ok = ok and set(bounded_language(reduce(a, mode), 6)) == reference
+            ok = ok and language_oracle(reduce(a, mode), 6) == reference
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
     _report(6, "all reduction modes preserve depth-6 languages on 500 automata", ok)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 from nfabisim import equivalence, selftest
-from nfabisim.automaton import bounded_language, factor, random_nfa
+from nfabisim.automaton import factor, random_nfa
 from nfabisim.cli import (
     MAX_STATES,
     ParseError,
@@ -20,6 +21,7 @@ from nfabisim.nerode import Dfa, nerode
 from nfabisim.relcalc import BoolRel, Partition
 
 from goldens import FWD_PHI2, GOLDEN_AUTOMATA
+from oracles import language_oracle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -257,7 +259,7 @@ def test_cmd_reduce(capsys):
     reduced = parse_nfa(out)
     assert reduced.n == 3
     original = GOLDEN_AUTOMATA["fwd_b"]
-    assert set(bounded_language(reduced, 6)) == set(bounded_language(original, 6))
+    assert language_oracle(reduced, 6) == language_oracle(original, 6)
 
 
 def test_cmd_determinize(capsys):
@@ -369,6 +371,34 @@ def test_selftest_reports_broken_constructions(monkeypatch):
         "fb reduction changed the language",
     ):
         assert problem in out.getvalue()
+
+
+def test_selftest_weak_check_reaches_deep_pairs(monkeypatch):
+    # 20 terminal-vector pairs, more than words of length 8 are sure to
+    # reach: the weak check must still catch a relation missing one pair,
+    # and a pair list missing one vector pair.
+    a = random_nfa(6, ("x", "y"), 0.2, 5)
+    b = random_nfa(6, ("x", "y"), 0.2, 1005)
+    pairs = selftest.reachable_terminal_pairs(a, b)
+    assert len(pairs) > 9
+    problems = []
+    selftest._check_weak_sim(a, b, problems)
+    assert problems == []
+    exact = selftest.greatest_weak_forward_sim(a, b)
+    masks = list(exact.relation.row_masks)
+    i = next(i for i, m in enumerate(masks) if m)
+    masks[i] &= masks[i] - 1
+
+    def dropped(a, b):
+        return dataclasses.replace(exact, relation=BoolRel(a.n, b.n, masks))
+
+    monkeypatch.setattr(selftest, "greatest_weak_forward_sim", dropped)
+    monkeypatch.setattr(selftest, "reachable_terminal_pairs", lambda a, b: pairs[:-1])
+    selftest._check_weak_sim(a, b, problems)
+    assert problems == [
+        "reachable terminal pairs disagree with their closure",
+        "weak simulation disagrees with the vector-pair oracle",
+    ]
 
 
 def test_missing_file_exits_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfabisim.automaton import Nfa, bounded_language, factor, find_isomorphism, random_nfa
+from nfabisim.automaton import Nfa, factor, find_isomorphism, random_nfa
 from nfabisim.bisim import (
     BisimKind,
     check,
@@ -92,7 +92,7 @@ def test_fb_equivalence_implies_bounded_language_equality():
         b = random_nfa(rng.randint(1, 4), ("x", "y"), 0.4, rng.randrange(1 << 30))
         if fb_equivalent(a, b).equivalent:
             confirmed += 1
-            assert set(bounded_language(a, 6)) == set(bounded_language(b, 6))
+            assert language_oracle(a, 6) == language_oracle(b, 6)
     # regression pin: the converse fails on the language-equal golden pair
     assert not fb_equivalent(LANG_A, LANG_B).equivalent
 
@@ -326,9 +326,9 @@ def test_reduce_preserves_bounded_language():
     rng = random.Random(64)
     for _ in range(30):
         a = random_nfa(rng.randint(1, 6), ("x", "y"), 0.4, rng.randrange(1 << 30))
-        reference = set(bounded_language(a, 6))
+        reference = language_oracle(a, 6)
         for mode in REDUCTION_MODES:
-            assert set(bounded_language(reduce(a, mode), 6)) == reference
+            assert language_oracle(reduce(a, mode), 6) == reference
 
 
 def test_reduce_alternate_never_grows():
@@ -445,11 +445,9 @@ def test_degenerate_boundary_vectors_are_supported():
             verdict = fb_equivalent(a, b)
             wfb_equivalent(a, b)
             if verdict.equivalent:
-                assert set(bounded_language(a, 5)) == set(bounded_language(b, 5))
+                assert language_oracle(a, 5) == language_oracle(b, 5)
         for mode in REDUCTION_MODES:
-            assert set(bounded_language(reduce(a, mode), 5)) == set(
-                bounded_language(a, 5)
-            )
+            assert language_oracle(reduce(a, mode), 5) == language_oracle(a, 5)
 
 
 # --- structural correspondences ---------------------------------------------------------

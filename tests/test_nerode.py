@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from nfabisim.automaton import Nfa, bounded_language, factor, random_nfa
+from nfabisim.automaton import Nfa, factor, random_nfa
 from nfabisim.bisim import (
     greatest_weak_forward_bisim,
     reachable_terminal_pairs,
@@ -12,7 +13,24 @@ from nfabisim.nerode import Dfa, dfa_isomorphic, nerode, reverse_nerode
 from nfabisim.relcalc import BoolRel, BoolVec, is_uniform, rel_vec, vec_rel
 
 from goldens import FWD_A, LANG_A, LANG_B, WEAK_A, WEAK_B, WEAK_A_MOD, WEAK_B_MOD
-from oracles import _members, reverse_oracle, subsets_oracle, sum_oracle
+from oracles import (
+    _members,
+    language_oracle,
+    reverse_oracle,
+    subsets_oracle,
+    sum_oracle,
+)
+
+
+def dfa_language(dfa, maxlen):
+    """Every word of length <= maxlen that ``Dfa.accepts``, in
+    length-then-lex order, like ``language_oracle``."""
+    return [
+        word
+        for length in range(maxlen + 1)
+        for word in itertools.product(dfa.alphabet, repeat=length)
+        if dfa.accepts(word)
+    ]
 
 
 def test_nerode_golden():
@@ -20,7 +38,7 @@ def test_nerode_golden():
     assert dfa.m == 3
     assert [v.to_text() for v in dfa.subset_of] == ["010", "001", "000"]
     assert dfa.final == (False, True, False)
-    assert dfa.bounded_language(6) == [("x",)]
+    assert dfa_language(dfa, 6) == [("x",)]
 
 
 def test_nerode_of_deterministic_input():
@@ -38,7 +56,7 @@ def test_nerode_of_deterministic_input():
     dfa = nerode(a)
     assert dfa.m == a.n
     assert all(v.count() == 1 for v in dfa.subset_of)
-    assert set(dfa.bounded_language(5)) == set(bounded_language(a, 5))
+    assert dfa_language(dfa, 5) == language_oracle(a, 5)
 
 
 def test_nerode_worst_case_hits_all_subsets():
@@ -158,7 +176,7 @@ def test_determinization_preserves_language_depth_8():
     rng = random.Random(72)
     for _ in range(15):
         a = random_nfa(rng.randint(1, 6), ("x", "y"), 0.4, rng.randrange(1 << 30))
-        assert set(nerode(a).bounded_language(8)) == set(bounded_language(a, 8))
+        assert dfa_language(nerode(a), 8) == language_oracle(a, 8)
 
 
 # --- DFA isomorphism ---------------------------------------------------------
