@@ -354,11 +354,12 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     return seq
 
 
-def _b_masks(block: list, n_a: int) -> dict:
-    """Per block id of A+B (A's states first), the mask of B's states in it."""
-    masks = {}
-    for j, k in enumerate(block[n_a:]):
-        masks[k] = masks.get(k, 0) | 1 << j
+def _b_masks(block: list, off: int) -> list:
+    """Per block id, the mask of B's states in it; B's state j is state
+    off + j of the refined automaton."""
+    masks = [0] * (max(block) + 1)
+    for j, k in enumerate(block[off:]):
+        masks[k] |= 1 << j
     return masks
 
 
@@ -371,32 +372,36 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     round is one round of partition refinement over the a.n + b.n states
     (``automaton._refine``, the engine ``find_isomorphism`` also runs): two
     states share a block after round k + 1 when they shared one after round
-    k and, per symbol, their successors meet the same blocks.  Row i of
-    phi_k is the mask of B's states in the block of A's state i; the masks
-    are rebuilt after a round that renumbered the blocks and otherwise
-    updated for the B states that moved.  The sequence ends as the paper's
-    does, once phi repeats or is empty, even while blocks inside A or inside
-    B still split.
+    k and, per symbol, their successors meet the same blocks.  When B is A
+    itself, A alone is refined, every state on the B side: a state and
+    another's copy in A+A are k-step bisimilar exactly when the two states
+    are.  Row i of phi_k is the mask of B's states in the block of A's state
+    i; the masks, one per block id, are rebuilt after a round that
+    renumbered the blocks and otherwise updated for the B states that moved.
+    The sequence ends as the paper's does, once phi repeats or is empty,
+    even while blocks inside A or inside B still split.
     """
-    s = _sum(a, b)
+    s, off = (a, 0) if b is a else (_sum(a, b), a.n)
     succ = [_index_lists(s.delta[x]) for x in s.alphabet]
     block = [s.tau.mask >> i & 1 for i in range(s.n)]
-    masks = _b_masks(block, a.n)
+    masks = _b_masks(block, off)
     rounds = _refine(block, succ)
     seq = []
     while True:
-        seq.append(BoolRel(a.n, b.n, [masks.get(k, 0) for k in block[:a.n]]))
-        if seq[-1].is_empty() or len(seq) > 1 and seq[-1] == seq[-2]:
+        rows = tuple(map(masks.__getitem__, block[:a.n]))
+        seq.append(BoolRel(a.n, b.n, rows))
+        if not any(rows) or len(seq) > 1 and rows == seq[-2].row_masks:
             return seq
         new, moved = next(rounds)
         if moved is None:
-            masks = _b_masks(new, a.n)
-        else:
+            masks = _b_masks(new, off)
+        elif moved:
+            masks += [0] * (max(map(new.__getitem__, moved)) + 1 - len(masks))
             for i in moved:
-                if i >= a.n:
-                    bit = 1 << i - a.n
+                if i >= off:
+                    bit = 1 << i - off
                     masks[block[i]] ^= bit
-                    masks[new[i]] = masks.get(new[i], 0) | bit
+                    masks[new[i]] |= bit
         block = new
 
 
@@ -449,7 +454,8 @@ def _dualize(report: BisimReport, kind: BisimKind) -> BisimReport:
 
 def greatest_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Dual of the forward algorithm, run on the reversed automata."""
-    rep = greatest_forward_bisim(reverse(a), reverse(b))
+    ra = reverse(a)
+    rep = greatest_forward_bisim(ra, ra if b is a else reverse(b))
     return _dualize(rep, BisimKind.BACKWARD_BISIM)
 
 

@@ -26,6 +26,7 @@ self-check such as two decision routes disagreeing); the last prints one
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import equivalence
@@ -359,6 +360,8 @@ def _cmd_selftest(args) -> int:
     )
 
 
+# Built once per process: parse_args reads the parser and leaves it as it is.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfabisim",

@@ -147,10 +147,8 @@ class BoolRel:
         row_masks = tuple(row_masks)
         if len(row_masks) != rows:
             raise ValueError(f"expected {rows} row masks, got {len(row_masks)}")
-        top = (1 << cols) - 1
-        for m in row_masks:
-            if m < 0 or m & ~top:
-                raise ValueError(f"row mask does not fit in {cols} columns")
+        if min(row_masks) < 0 or max(row_masks) >> cols:
+            raise ValueError(f"row mask does not fit in {cols} columns")
         self.rows = rows
         self.cols = cols
         self.row_masks = row_masks
@@ -233,10 +231,10 @@ class BoolRel:
         )
 
     def count(self) -> int:
-        return sum(bin(m).count("1") for m in self.row_masks)
+        return sum(map(int.bit_count, self.row_masks))
 
     def is_empty(self) -> bool:
-        return all(m == 0 for m in self.row_masks)
+        return not any(self.row_masks)
 
     def to_text(self) -> str:
         """Rows of 0/1 characters, one matrix row per line."""

@@ -499,6 +499,55 @@ def test_report_shape_invariant():
 # --- self equivalences -------------------------------------------------------------
 
 
+def _assert_self_path_is_the_sum_path(a):
+    # Against itself A is refined alone; against an equal but distinct copy
+    # the rounds run over A+A.  Both give the paper's rounds.
+    c = Nfa(a.n, a.alphabet, dict(a.delta), a.sigma, a.tau)
+    assert c == a and c is not a
+    steps = forward_bisim_steps(a, a)
+    assert steps == forward_bisim_steps(a, c) == fixpoint_steps_oracle("fb", a, a)
+    bb = greatest_backward_bisim(a, a)
+    assert bb == greatest_backward_bisim(a, c)
+    assert greatest_fb_equivalence(a) == Partition.from_relation(
+        greatest_forward_bisim(a, c).relation
+    )
+    assert greatest_bb_equivalence(a) == Partition.from_relation(bb.relation)
+
+
+def test_self_fb_rounds_match_the_sum_on_seeded_automata():
+    rng = random.Random(83)
+    for _ in range(150):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        a = random_nfa(rng.randint(1, 9), alphabet, rng.choice((0.1, 0.25, 0.5)),
+                       rng.randrange(1 << 30))
+        _assert_self_path_is_the_sum_path(a)
+
+
+@st.composite
+def _small_automata(draw):
+    alphabet = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 9))
+    states = st.integers(0, n - 1)
+    delta = {
+        x: BoolRel.from_pairs(n, n, draw(st.sets(st.tuples(states, states))))
+        for x in alphabet
+    }
+    sigma, tau = draw(st.sets(states)), draw(st.sets(states))
+    return Nfa(n, alphabet, delta, [q in sigma for q in range(n)],
+               [q in tau for q in range(n)])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_small_automata())
+def test_self_fb_rounds_match_the_sum(a):
+    _assert_self_path_is_the_sum_path(a)
+
+
+@pytest.mark.parametrize("n, closed", [(24, False), (37, True), (58, False), (77, True)])
+def test_self_fb_rounds_match_the_sum_on_chains_and_rings(n, closed):
+    _assert_self_path_is_the_sum_path(_line(n, closed))
+
+
 def test_greatest_fb_equivalence_golden():
     assert greatest_fb_equivalence(LANG_A) == Partition.identity(3)
     assert greatest_fb_equivalence(LANG_B) == Partition.identity(2)

@@ -10,6 +10,7 @@ from nfabisim.automaton import factor, random_nfa
 from nfabisim.cli import (
     MAX_STATES,
     ParseError,
+    _build_parser,
     format_dfa,
     format_nfa,
     format_rel,
@@ -283,6 +284,34 @@ def test_cmd_gen_deterministic(capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     parse_nfa(first)
+
+
+def test_main_repeats_in_one_process_after_an_argparse_error(capsys):
+    # The parser is built once per process; each call, also the one right
+    # after an argparse error, gives the exit code and stdout of a call on a
+    # freshly built parser.
+    calls = [
+        ["equiv", "--mode", "fb", data("fwd_a.nfa"), data("fwd_b.nfa")],
+        ["equiv", "--mode", "nope", data("fwd_a.nfa"), data("fwd_b.nfa")],
+        ["reduce", "--mode", "fb", data("fwd_b.nfa")],
+        ["bisim", "--kind", "fb", data("hetero_a.nfa")],
+        ["bisim", "--kind", "fb", data("hetero_a.nfa"), data("hetero_b.nfa")],
+    ]
+
+    def run(argv, fresh=False):
+        if fresh:
+            _build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    first = [run(argv, fresh=True) for argv in calls]
+    assert [code for code, _ in first] == [0, 2, 0, 2, 1]
+    for _ in range(2):
+        for argv, expected in zip(calls, first):
+            assert run(argv) == expected
 
 
 def test_cmd_gen_bad_density(capsys):

@@ -77,6 +77,22 @@ def test_vec_rejects_degenerate_sizes():
         BoolRel(1, 2, [0b100])
 
 
+@pytest.mark.parametrize(
+    "rows, cols, masks, message",
+    [
+        (3, 4, [0b1, 1 << 4, 0b10], "row mask does not fit in 4 columns"),
+        (2, 4, [0b1, -1], "row mask does not fit in 4 columns"),
+        (2, 64, [1 << 64, 0], "row mask does not fit in 64 columns"),
+        (3, 2, [0b1, 0b10], "expected 3 row masks, got 2"),
+    ],
+    ids=["bit-cols", "negative", "bit-cols-wide", "row-count"],
+)
+def test_rel_rejects_bad_row_masks_with_its_message(rows, cols, masks, message):
+    with pytest.raises(ValueError) as exc:
+        BoolRel(rows, cols, masks)
+    assert str(exc.value) == message
+
+
 def test_vec_round_trip():
     v = BoolVec.from_bits([1, 0, 1, 1])
     assert v.bits() == (1, 0, 1, 1)
