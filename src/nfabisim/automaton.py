@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from operator import itemgetter
+from itertools import compress, filterfalse, repeat
+from operator import ne
 
 from .relcalc import (
     BoolRel,
@@ -233,94 +234,94 @@ def _index_lists(rel: BoolRel) -> list:
 
 
 def _refine(block: list, tables):
-    """Partition refinement round by round: yields ``(block, moved)`` after
-    each round, a new list of block ids and the states whose id changed in
-    that round, or None after a round that numbered every block afresh.
+    """Partition refinement round by round from integer block ids: yields
+    ``(block, moved)`` after each round, the new list of block ids and the
+    states whose id changed in that round.
 
     In round k + 1 a state's key is its block plus, per neighbour table, the
     set of its neighbours' blocks after round k, and two states keep sharing
-    a block when their keys agree.  The last round yielded is the first that
-    splits no block.  Over the successor tables of A+B these are the paper's
-    forward rounds (Kanellakis & Smolka, 1990); with predecessor tables as
-    well, colour refinement (Berkholz, Bonsma & Grohe, 2013).
+    a block when their keys agree.  A block that splits leaves its id to a
+    largest piece, and its other pieces take fresh ids, so every state that
+    moves moves to a fresh block.  The last round yielded is the first that
+    splits no block, and it moves nothing.  Over the successor tables of A+B
+    these are the paper's forward rounds (Kanellakis & Smolka, 1990); with
+    predecessor tables as well, colour refinement (Berkholz, Bonsma & Grohe,
+    2013).
 
-    A round takes one of two shapes with the same partition.  A full round
-    keys every state and numbers the keys by first occurrence.  A split
-    round keys only the predecessors of the pieces split off in the round
-    before, every piece of a split block but its largest, which keeps the
-    block's id (Valmari, 2010).  Any other state sees the blocks it saw
-    before under the same ids, so the states of a block that were not keyed
-    stay together and apart from those that were.  Full rounds run while the
-    split-off pieces hold more than an eighth of the states, and the
-    predecessor lists and block members are built on the first split round.
+    Rounds differ only in the states they key.  A round keys every state
+    unless the round before moved at most an eighth of them; then it keys
+    only their predecessors (Valmari, 2010).  Any other state sees the blocks
+    it saw before under the same ids, so the states of a block that were not
+    keyed stay together, as one more piece of it, and apart from those that
+    were.  The predecessor lists and block members are built for the first
+    such round.
     """
     n = len(block)
-    count = len(set(block))
+    fresh = max(block) + 1
     preds = members = split = None
     while True:
         if split is None:
-            sets = [[frozenset(map(block.__getitem__, t)) for t in s] for s in tables]
+            # Every state's key at C speed.  A key is numbered by the state
+            # that first has it, whose old block is the key's.
+            sets = [list(map(frozenset, map(map, repeat(block.__getitem__), t)))
+                    for t in tables]
             keys = {}
-            new = [keys.setdefault(key, len(keys)) for key in zip(block, *sets)]
-            yield new, None
-            if len(keys) == count:
-                return
-            # Every new block splits off at least one state, so only few new
-            # blocks can leave the split-off pieces small.
-            if 8 * (len(keys) - count) <= n:
-                # Per old block its largest piece: the new blocks, numbered in
-                # key order, by growing size, each written over its old block.
-                size = Counter(new)
-                rising = sorted(range(len(keys)), key=size.__getitem__)
-                parent = list(map(itemgetter(0), keys))
-                top = dict(zip(map(parent.__getitem__, rising), rising))
-                if 8 * (n - sum(map(size.__getitem__, top.values()))) <= n:
-                    split = [i for i in range(n) if new[i] != top[block[i]]]
-            count = len(keys)
+            first = list(map(keys.setdefault, zip(block, *sets), range(n)))
+            size = [0] * n
+            for i in first:
+                size[i] += 1
+            # Written by rising size, a block's last piece is its largest.
+            rising = sorted(keys.values(), key=size.__getitem__)
+            top = dict(zip(map(block.__getitem__, rising), rising))
+            label = block.copy()
+            for i in filterfalse(set(top.values()).__contains__, keys.values()):
+                label[i] = fresh
+                fresh += 1
+            new = list(map(label.__getitem__, first))
+            moved = list(compress(range(n), map(ne, new, block)))
             members = None
-            block = new
-            continue
-        if preds is None:
-            preds = [[] for _ in range(n)]
-            for t in tables:
-                for i, targets in enumerate(t):
-                    for j in targets:
-                        preds[j].append(i)
-        if members is None:
-            members = [set() for _ in range(count)]
-            for i, b in enumerate(block):
-                members[b].add(i)
-        touched = set()
-        for j in split:
-            touched.update(preds[j])
-        touched = list(touched)
-        sets = [[frozenset(map(block.__getitem__, t[i])) for i in touched] for t in tables]
-        groups = {}
-        for i, key in zip(touched, zip(map(block.__getitem__, touched), *sets)):
-            groups.setdefault(key, []).append(i)
-        pieces = {}
-        for key, group in groups.items():
-            pieces.setdefault(key[0], []).append(group)
-        new = block.copy()
-        moved = []
-        for b, parts in pieces.items():
-            rest = len(members[b]) - sum(map(len, parts))
-            if not rest and len(parts) == 1:
-                continue
-            big = max(parts, key=len)
-            if len(big) > rest:
-                # The largest keyed piece keeps the id; the states that were
-                # not keyed split off instead.
-                parts.remove(big)
-                if rest:
-                    parts.append(members[b].difference(big, *parts))
-            for group in parts:
-                members[b].difference_update(group)
-                members.append(set(group))
-                for i in group:
-                    new[i] = count
-                moved.extend(group)
-                count += 1
+        else:
+            if preds is None:
+                preds = [[] for _ in range(n)]
+                for t in tables:
+                    for i, targets in enumerate(t):
+                        for j in targets:
+                            preds[j].append(i)
+            if members is None:
+                members = [set() for _ in range(fresh)]
+                for i, b in enumerate(block):
+                    members[b].add(i)
+            touched = set()
+            for j in split:
+                touched.update(preds[j])
+            touched = list(touched)
+            sets = [[frozenset(map(block.__getitem__, t[i])) for i in touched] for t in tables]
+            groups = {}
+            for i, key in zip(touched, zip(map(block.__getitem__, touched), *sets)):
+                groups.setdefault(key, []).append(i)
+            pieces = {}
+            for key, group in groups.items():
+                pieces.setdefault(key[0], []).append(group)
+            new = block.copy()
+            moved = []
+            for b, parts in pieces.items():
+                rest = len(members[b]) - sum(map(len, parts))
+                if not rest and len(parts) == 1:
+                    continue
+                big = max(parts, key=len)
+                if len(big) > rest:
+                    # The largest keyed piece keeps the id; the states that
+                    # were not keyed split off instead.
+                    parts.remove(big)
+                    if rest:
+                        parts.append(members[b].difference(big, *parts))
+                for group in parts:
+                    members[b].difference_update(group)
+                    members.append(set(group))
+                    for i in group:
+                        new[i] = fresh
+                    moved.extend(group)
+                    fresh += 1
         yield new, moved
         if not moved:
             return
@@ -332,11 +333,11 @@ def find_isomorphism(a: Nfa, b: Nfa):
     """Search for a state bijection satisfying the isomorphism conditions.
 
     Colour refinement prunes the candidate images: ``_refine`` runs over the
-    disjoint union A+B from the (initial, terminal) bits, with successor and
-    predecessor tables per symbol, so after the first rounds it re-keys only
-    the neighbours of the states split off in the round before; a colour
-    holding unequal numbers of A and B states after any round rules out any
-    isomorphism.  A backtracking assignment then
+    disjoint union A+B from the colours 2 * initial + terminal, with
+    successor and predecessor tables per symbol, so after the first rounds
+    it re-keys only the neighbours of the states moved in the round before;
+    a colour holding unequal numbers of A and B states, before round 1 or
+    after any round, rules out any isomorphism.  A backtracking assignment then
     tries states in index order and images in increasing order, so the
     returned bijection has the lexicographically least image sequence among
     all isomorphisms.  A candidate image j of state i is checked only
@@ -355,15 +356,14 @@ def find_isomorphism(a: Nfa, b: Nfa):
     rels = [r for x in s.alphabet for r in (s.delta[x], inverse(s.delta[x]))]
     tables = [_index_lists(r) for r in rels]
     masks_b = [[m >> n for m in r.row_masks[n:]] for r in rels]
-    block = [(s.sigma.mask >> i & 1, s.tau.mask >> i & 1) for i in range(2 * n)]
-    # Per colour, its A states minus its B states, updated for the states a
-    # round moved; a full round renumbers every colour, so all states move
-    # there, from no colour.
-    balance = Counter()
+    block = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
+    # Per colour, its A states minus its B states.  A round changes it only
+    # for the states it moved, so it is checked in full once, before round 1.
+    balance = Counter(block[:n])
+    balance.subtract(block[n:])
+    if any(balance.values()):
+        return None
     for new, moved in _refine(block, tables):
-        if moved is None:
-            balance.clear()
-            block, moved = [None] * (2 * n), range(2 * n)
         for i in moved:
             step = 1 if i < n else -1
             balance[block[i]] -= step

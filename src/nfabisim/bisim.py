@@ -6,15 +6,15 @@ its per-symbol residual bounds round by round until stable, then test the two
 covering conditions that the fixpoint cannot enforce.  For fb (and bb, fb on
 the reversed automata) every round is one round of partition refinement over
 the disjoint union of the two automata, which re-keys only the predecessors
-of the states split off in the round before once those are few.  For bfb
+of the states the round before moved once those are few.  For bfb
 (and fbb) each round after the first re-tests, row by row and column by
 column, only the witnesses that the round before removed.  Both return the
 paper's exact sequence of relations.  The weak kinds read the finitely many
 reachable vector pairs instead, found by the one breadth-first subset search
 (``nerode._subsets``) that also determinizes: the weak forward kinds the
 terminal-vector pairs, the subsets of the reversed disjoint union A+B, and
-wbb the initial-vector pairs, the subsets of A+B itself.  They compare the
-states' membership signatures over them.
+the weak backward kinds the initial-vector pairs, the subsets of A+B itself.
+They compare the states' membership signatures over them.
 
 Condition names used in reports:
 
@@ -26,12 +26,13 @@ Condition names used in reports:
 plus ``step-*[x]``, ``*-image`` and ``weak-*`` names for the per-symbol,
 containment and weak conditions itemized by :func:`check`.  Each strong kind
 is checked as a forward and/or a backward simulation half; a ``-rev`` half is
-the same half asked of phi^-1 between B and A.  Each weak backward kind is
-checked as its forward dual on the reversed automata.
+the same half asked of phi^-1 between B and A.  Each weak kind is checked
+on the vector pairs its greatest relation reads.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -200,17 +201,44 @@ _HALVES = {
 }
 
 
+def _reversed_sum(a: Nfa, b: Nfa) -> Nfa:
+    return reverse(_sum(a, b))
+
+
+# Per weak kind: the automaton whose subsets are its vector pairs (the
+# terminal vectors tau_u of A+B, found on the reversed sum, or the initial
+# vectors sigma_u, found on A+B itself), the names of the conditions on those
+# pairs over phi and, for a bisimulation, over phi^-1, and the covering
+# conditions.
+_WEAK = {
+    BisimKind.WEAK_FORWARD_SIM: (
+        _reversed_sum, ("weak-terminal",), ("initial-forward",)
+    ),
+    BisimKind.WEAK_FORWARD_BISIM: (
+        _reversed_sum,
+        ("weak-terminal", "weak-terminal-rev"),
+        ("initial-forward", "initial-backward"),
+    ),
+    BisimKind.WEAK_BACKWARD_SIM: (_sum, ("weak-initial",), ("terminal-forward",)),
+    BisimKind.WEAK_BACKWARD_BISIM: (
+        _sum,
+        ("weak-initial", "weak-initial-rev"),
+        ("terminal-forward", "terminal-backward"),
+    ),
+}
+
+
 def _weak_conditions(kind, a, b, phi, inv):
-    pairs = reachable_terminal_pairs(a, b)
-    image = _unions(phi.row_masks)
-    holds = all(not image(ta.mask) & ~tb.mask for ta, tb in pairs)
-    conds = [("weak-terminal", holds)]
-    cover = ("initial-forward",)
-    if kind is BisimKind.WEAK_FORWARD_BISIM:
-        image = _unions(inv.row_masks)
-        holds = all(not image(tb.mask) & ~ta.mask for ta, tb in pairs)
-        conds.append(("weak-terminal-rev", holds))
-        cover += ("initial-backward",)
+    """Each vector pair (S, T) of A and B must have phi's image of S inside T
+    and, for a bisimulation, phi^-1's image of T inside S."""
+    search, names, cover = _WEAK[kind]
+    top = (1 << a.n) - 1
+    pairs = [(m & top, m >> a.n) for m, _ in _subsets(search(a, b))]
+    conds = []
+    for name, rel, side in zip(names, (phi, inv), (0, 1)):
+        image = _unions(rel.row_masks)
+        holds = all(not image(p[side]) & ~p[1 - side] for p in pairs)
+        conds.append((name, holds))
     return conds + [(name, _COVER[name](a, b, phi)) for name in cover]
 
 
@@ -221,14 +249,6 @@ _DUAL_NAME = {
     "initial-backward": "terminal-backward",
     "terminal-forward": "initial-forward",
     "terminal-backward": "initial-backward",
-    "weak-terminal": "weak-initial",
-    "weak-terminal-rev": "weak-initial-rev",
-}
-
-# A weak backward kind is checked as its forward dual on the reversed automata.
-_WEAK_DUAL = {
-    BisimKind.WEAK_BACKWARD_SIM: BisimKind.WEAK_FORWARD_SIM,
-    BisimKind.WEAK_BACKWARD_BISIM: BisimKind.WEAK_FORWARD_BISIM,
 }
 
 
@@ -244,9 +264,6 @@ def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
         for half, flipped, *names in _HALVES[kind]:
             args = (b, a, inv, phi) if flipped else (a, b, phi, inv)
             conds += half(*args, a.alphabet, names)
-    elif kind in _WEAK_DUAL:
-        dual = _weak_conditions(_WEAK_DUAL[kind], reverse(a), reverse(b), phi, inv)
-        conds = [(_DUAL_NAME[name], holds) for name, holds in dual]
     else:
         conds = _weak_conditions(kind, a, b, phi, inv)
     return CheckResult(kind, all(ok for _, ok in conds), tuple(conds))
@@ -354,15 +371,6 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     return seq
 
 
-def _b_masks(block: list, off: int) -> list:
-    """Per block id, the mask of B's states in it; B's state j is state
-    off + j of the refined automaton."""
-    masks = [0] * (max(block) + 1)
-    for j, k in enumerate(block[off:]):
-        masks[k] |= 1 << j
-    return masks
-
-
 def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     """The paper's shrinking sequence phi_0, phi_1, ... for the greatest
     forward bisimulation, from the terminal-agreement relation phi_0.
@@ -376,15 +384,15 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     itself, A alone is refined, every state on the B side: a state and
     another's copy in A+A are k-step bisimilar exactly when the two states
     are.  Row i of phi_k is the mask of B's states in the block of A's state
-    i; the masks, one per block id, are rebuilt after a round that
-    renumbered the blocks and otherwise updated for the B states that moved.
+    i; the masks, one per block id, start as B's non-terminal and terminal
+    states and are updated for the B states each round moved.
     The sequence ends as the paper's does, once phi repeats or is empty,
     even while blocks inside A or inside B still split.
     """
     s, off = (a, 0) if b is a else (_sum(a, b), a.n)
     succ = [_index_lists(s.delta[x]) for x in s.alphabet]
     block = [s.tau.mask >> i & 1 for i in range(s.n)]
-    masks = _b_masks(block, off)
+    masks = defaultdict(int, {0: ~b.tau.mask & (1 << b.n) - 1, 1: b.tau.mask})
     rounds = _refine(block, succ)
     seq = []
     while True:
@@ -393,15 +401,11 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
         if not any(rows) or len(seq) > 1 and rows == seq[-2].row_masks:
             return seq
         new, moved = next(rounds)
-        if moved is None:
-            masks = _b_masks(new, off)
-        elif moved:
-            masks += [0] * (max(map(new.__getitem__, moved)) + 1 - len(masks))
-            for i in moved:
-                if i >= off:
-                    bit = 1 << i - off
-                    masks[block[i]] ^= bit
-                    masks[new[i]] |= bit
+        for i in moved:
+            if i >= off:
+                bit = 1 << i - off
+                masks[block[i]] ^= bit
+                masks[new[i]] |= bit
         block = new
 
 
@@ -490,7 +494,7 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     top = (1 << a.n) - 1
     return [
         (BoolVec(a.n, m & top), BoolVec(b.n, m >> a.n))
-        for m, _ in _subsets(reverse(_sum(a, b)))
+        for m, _ in _subsets(_reversed_sum(a, b))
     ]
 
 
@@ -503,49 +507,44 @@ def _signatures(c: Nfa) -> tuple:
     return len(vectors), _columns(vectors, c.n)
 
 
+def _weak_greatest(kind, a, b, related) -> BisimReport:
+    """The relation of the states of A and B whose signatures over the
+    vector pairs of a weak kind are ``related``, one row mask per A state."""
+    search, _, cover = _WEAK[kind]
+    count, sig = _signatures(search(a, b))
+    rel = BoolRel(a.n, b.n, related(sig[:a.n], sig[a.n:]))
+    return _report(kind, a, b, rel, count, cover)
+
+
+def _contained(sig_a, sig_b) -> list:
+    return [sum(1 << j for j, t in enumerate(sig_b) if not s & ~t) for s in sig_a]
+
+
+def _equal(sig_a, sig_b) -> list:
+    same = {}
+    for j, t in enumerate(sig_b):
+        same[t] = same.get(t, 0) | 1 << j
+    return [same.get(s, 0) for s in sig_a]
+
+
 def greatest_weak_forward_sim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak forward simulation: states related when every
     terminal-vector membership of the left one carries over to the right,
     that is, when the left signature is contained in the right one."""
-    count, sig = _signatures(reverse(_sum(a, b)))
-    sig_a, sig_b = sig[:a.n], sig[a.n:]
-    lam = BoolRel(a.n, b.n, [
-        sum(1 << j for j, t in enumerate(sig_b) if not s & ~t) for s in sig_a
-    ])
-    return _report(
-        BisimKind.WEAK_FORWARD_SIM, a, b, lam, count, ("initial-forward",)
-    )
-
-
-def _equal_signatures(kind, a, b, c, cover) -> BisimReport:
-    """The relation of the states of A and B whose signatures over the
-    subsets of c, a search over A+B, are equal."""
-    count, sig = _signatures(c)
-    sig_a, sig_b = sig[:a.n], sig[a.n:]
-    same = {}
-    for j, t in enumerate(sig_b):
-        same[t] = same.get(t, 0) | 1 << j
-    mu = BoolRel(a.n, b.n, [same.get(s, 0) for s in sig_a])
-    return _report(kind, a, b, mu, count, cover)
+    return _weak_greatest(BisimKind.WEAK_FORWARD_SIM, a, b, _contained)
 
 
 def greatest_weak_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak forward bisimulation: memberships in the terminal
     vectors must agree exactly, so the related states are those with equal
     signatures."""
-    return _equal_signatures(
-        BisimKind.WEAK_FORWARD_BISIM, a, b, reverse(_sum(a, b)),
-        ("initial-forward", "initial-backward"),
-    )
+    return _weak_greatest(BisimKind.WEAK_FORWARD_BISIM, a, b, _equal)
 
 
 def greatest_weak_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest weak backward bisimulation: the same over the initial
     vectors sigma_u, found by searching A+B itself."""
-    return _equal_signatures(
-        BisimKind.WEAK_BACKWARD_BISIM, a, b, _sum(a, b),
-        ("terminal-forward", "terminal-backward"),
-    )
+    return _weak_greatest(BisimKind.WEAK_BACKWARD_BISIM, a, b, _equal)
 
 
 def wfb_equivalence_bound(a: Nfa) -> Partition:

@@ -301,24 +301,27 @@ def _cmd_check(args) -> int:
     return 0 if result.ok else 1
 
 
+# A positive fb or wfb verdict carries the greatest relation, a negative
+# lang verdict the separating word; the other verdicts carry no witness.
+_EQUIV = {
+    "fb": equivalence.fb_equivalent,
+    "wfb": equivalence.wfb_equivalent,
+    "lang": equivalence.language_equivalent,
+}
+
+
 def _cmd_equiv(args) -> int:
     a = _load_nfa(args.left)
     b = _load_nfa(args.right)
-    if args.mode == "fb":
-        verdict = equivalence.fb_equivalent(a, b)
-    elif args.mode == "wfb":
-        verdict = equivalence.wfb_equivalent(a, b)
-    else:
-        verdict = equivalence.language_equivalent(a, b)
+    verdict = _EQUIV[args.mode](a, b)
     if verdict.equivalent:
         print("EQUIVALENT")
-        if args.mode in ("fb", "wfb"):
+        if verdict.witness is not None:
             print(verdict.witness.relation.to_text())
         return 0
     print("NOT-EQUIVALENT")
-    if args.mode == "lang":
-        word = " ".join(verdict.witness) if verdict.witness else "eps"
-        print(f"witness: {word}")
+    if verdict.witness is not None:
+        print(f"witness: {' '.join(verdict.witness) or 'eps'}")
     return 1
 
 
@@ -385,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("equiv", help="decide equivalence of two automata")
-    p.add_argument("--mode", required=True, choices=["fb", "wfb", "lang"])
+    p.add_argument("--mode", required=True, choices=list(_EQUIV))
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=_cmd_equiv)

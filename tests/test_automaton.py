@@ -399,10 +399,9 @@ def _refine_rounds(block, tables):
     whose id changed, and a split block leaves its id to a largest piece."""
     rounds, prev = [], block
     for new, moved in _refine(block, tables):
-        if moved is not None:
-            assert set(moved) == {i for i, (p, q) in enumerate(zip(prev, new)) if p != q}
-            pieces = Counter(zip(prev, new))
-            assert all(pieces[p, p] >= size for (p, _), size in pieces.items())
+        assert sorted(moved) == [i for i, (p, q) in enumerate(zip(prev, new)) if p != q]
+        pieces = Counter(zip(prev, new))
+        assert all(pieces[p, p] >= size for (p, _), size in pieces.items())
         rounds.append({frozenset(i for i, q in enumerate(new) if q == b)
                        for b in set(new)})
         prev = new
@@ -421,12 +420,12 @@ def _with_preds(succ):
 
 def _cycles(*sizes):
     """Labels and tables of disjoint cycles, each with its first state
-    terminal, labelled (initial, terminal) as ``find_isomorphism`` does."""
+    terminal, labelled 2 * initial + terminal as ``find_isomorphism`` does."""
     succ, block = [], []
     for size in sizes:
         base = len(succ)
         succ += [[base + (i + 1) % size] for i in range(size)]
-        block += [(False, i == 0) for i in range(size)]
+        block += [int(i == 0) for i in range(size)]
     return block, _with_preds(succ)
 
 
@@ -438,7 +437,7 @@ def _stars(length=10, stars=20, loops=5):
     succ = [[q + 1] for q in range(length)] + [[]]
     succ += [[0]] * stars
     succ += [[len(succ) + q] for q in range(loops)]
-    block = ["end" if q == length else "mid" for q in range(len(succ))]
+    block = [int(q == length) for q in range(len(succ))]
     return block, [succ]
 
 
@@ -447,9 +446,7 @@ def _refine_inputs(draw):
     shape = draw(st.sampled_from(("random", "line", "cycles")))
     if shape == "random":
         n = draw(st.integers(1, 10))
-        labels = draw(st.sampled_from(
-            (st.integers(0, 2), st.tuples(st.booleans(), st.booleans()))
-        ))
+        labels = draw(st.sampled_from((st.integers(0, 2), st.integers(0, 3))))
         neighbours = st.lists(st.integers(0, n - 1), max_size=3)
         tables = draw(st.lists(
             st.lists(neighbours, min_size=n, max_size=n), min_size=1, max_size=3
@@ -465,7 +462,7 @@ def _refine_inputs(draw):
     for _ in range(draw(st.integers(0, 3))):
         succ[draw(st.integers(0, n - 1))].append(draw(st.integers(0, n - 1)))
     marks = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
-    block = [q in marks for q in range(n)]
+    block = [int(q in marks) for q in range(n)]
     return block, _with_preds(succ) if draw(st.booleans()) else [succ]
 
 
@@ -479,14 +476,39 @@ def test_refine_rounds_are_the_naive_rounds(inputs):
     assert _refine_rounds(block, tables) == refine_oracle(block, tables)
 
 
+def _counting(tables):
+    """Copies of neighbour tables whose rows count how often they are read,
+    and the counter."""
+    reads = [0]
+
+    class Row(list):
+        def __iter__(self):
+            reads[0] += 1
+            return super().__iter__()
+
+    return [[Row(row) for row in t] for t in tables], reads
+
+
 def test_refine_rounds_run_on_predecessors_of_split_pieces():
     # A chain splits one state off its unmarked block per round, so every
-    # round after the first keys only a few states.
+    # round after the first keys only a few states: the predecessors of the
+    # states the round before moved, one row per table each.  The first
+    # round reads every row, and so does building the predecessor lists for
+    # the second.
     n = 64
-    block = [q == n - 1 for q in range(n)]
-    tables = _with_preds([[q + 1] for q in range(n - 1)] + [[]])
-    rounds = list(_refine(block, tables))
-    assert [moved is None for _, moved in rounds] == [True] + [False] * (len(rounds) - 1)
+    block = [int(q == n - 1) for q in range(n)]
+    plain = _with_preds([[q + 1] for q in range(n - 1)] + [[]])
+    preds = [{i for t in plain for i, row in enumerate(t) if j in row} for j in range(n)]
+    tables, reads = _counting(plain)
+    counts, moves = [], []
+    for _, moved in _refine(block, tables):
+        counts.append(reads[0])
+        reads[0] = 0
+        moves.append(moved)
+    keyed = [set().union(*map(preds.__getitem__, m)) for m in moves[:-1]]
+    assert all(8 * len(m) <= n for m in moves)
+    assert counts == [2 * n, 2 * n + 2 * len(keyed[0])] + [2 * len(k) for k in keyed[1:]]
+    assert len(counts) > 30
     assert _refine_rounds(block, tables) == refine_oracle(block, tables)
     # When the keyed stars outnumber the loops, the stars keep their id and
     # the loops move.

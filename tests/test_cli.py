@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from nfabisim import equivalence, selftest
-from nfabisim.automaton import factor, random_nfa
+from nfabisim import automaton, cli, equivalence, selftest
+from nfabisim.automaton import factor, find_isomorphism, random_nfa
 from nfabisim.cli import (
     MAX_STATES,
     ParseError,
@@ -469,7 +469,7 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
         raise AssertionError("decision paths disagree: greatest-relation=True, "
                              "factor-isomorphism=False")
 
-    monkeypatch.setattr(equivalence, "fb_equivalent", disagree)
+    monkeypatch.setitem(cli._EQUIV, "fb", disagree)
     code = main(["equiv", "--mode", "fb", data("fwd_a.nfa"), data("fwd_b.nfa")])
     captured = capsys.readouterr()
     assert code == 3
@@ -477,6 +477,47 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
     assert captured.err.startswith("internal error: ")
     assert "decision paths disagree" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode, module, name, pair", [
+    ("fb", automaton, "is_isomorphism", ("fwd_a", "fwd_b")),
+    ("wfb", equivalence, "is_weak_forward_isomorphism", ("weak_a", "weak_b")),
+], ids=["fb", "wfb"])
+def test_matcher_with_failing_definition_check_exits_3(
+    monkeypatch, capsys, mode, module, name, pair
+):
+    # Each matcher checks the mapping it returns against the definition, and
+    # the deciders rely on that check alone: when it fails on an equivalent
+    # pair, the decider raises and the command is an internal failure.
+    monkeypatch.setattr(module, name, lambda a, b, phi: False)
+    decide = getattr(equivalence, f"{mode}_equivalent")
+    with pytest.raises(AssertionError, match="produced an invalid mapping"):
+        decide(*(GOLDEN_AUTOMATA[name] for name in pair))
+    code = main(["equiv", "--mode", mode, *(data(name + ".nfa") for name in pair)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: AssertionError(")
+    assert "produced an invalid mapping" in captured.err
+
+
+@pytest.mark.parametrize("left, right", [
+    ("states 1\nalphabet x\ninitial 0\nterminal 0\n",
+     "states 1\nalphabet x\ninitial 0\nterminal\n"),
+    ("states 2\nalphabet x\ninitial 0\nterminal 0\n",
+     "states 2\nalphabet x\ninitial 1\nterminal 0\n"),
+], ids=["one-state", "two-states"])
+def test_equiv_fb_rejects_uneven_colours_that_no_round_splits(tmp_path, capsys, left, right):
+    # Each side is its own fb factor, and no refinement round splits a
+    # colour, so only the colour count before the first round tells them
+    # apart.
+    a, b = tmp_path / "a.nfa", tmp_path / "b.nfa"
+    a.write_text(left)
+    b.write_text(right)
+    assert find_isomorphism(parse_nfa(left), parse_nfa(right)) is None
+    code = main(["equiv", "--mode", "fb", str(a), str(b)])
+    assert code == 1
+    assert capsys.readouterr().out == "NOT-EQUIVALENT\n"
 
 
 def test_usage_error_exits_2(capsys):
