@@ -329,34 +329,9 @@ def _refine(block: list, tables):
         block = new
 
 
-def find_isomorphism(a: Nfa, b: Nfa):
-    """Search for a state bijection satisfying the isomorphism conditions.
-
-    Colour refinement prunes the candidate images: ``_refine`` runs over the
-    disjoint union A+B from the colours 2 * initial + terminal, with
-    successor and predecessor tables per symbol, so after the first rounds
-    it re-keys only the neighbours of the states moved in the round before;
-    a colour holding unequal numbers of A and B states, before round 1 or
-    after any round, rules out any isomorphism.  A backtracking assignment then
-    tries states in index order and images in increasing order, so the
-    returned bijection has the lexicographically least image sequence among
-    all isomorphisms.  A candidate image j of state i is checked only
-    against i's own edges: per symbol, the images of i's successors and
-    predecessors placed so far (and i itself) must be exactly j's successors
-    and predecessors among the placed images and j.  The search keeps its
-    own stack, so its depth is not bounded by the interpreter's recursion
-    limit.  Returns None when the automata are not isomorphic.
-    """
-    _require_same_alphabet(a, b)
-    if a.n != b.n:
-        return None
-    n = a.n
-    # Per symbol, successors then predecessors over A+B; B's masks in B's numbers.
-    s = _sum(a, b)
-    rels = [r for x in s.alphabet for r in (s.delta[x], inverse(s.delta[x]))]
-    tables = [_index_lists(r) for r in rels]
-    masks_b = [[m >> n for m in r.row_masks[n:]] for r in rels]
-    block = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
+def _balanced_refine(block: list, tables, n: int):
+    """The stable colouring ``_refine`` reaches from block over A+B, or None
+    once a colour holds unequal numbers of A and B states."""
     # Per colour, its A states minus its B states.  A round changes it only
     # for the states it moved, so it is checked in full once, before round 1.
     balance = Counter(block[:n])
@@ -371,50 +346,59 @@ def find_isomorphism(a: Nfa, b: Nfa):
         if any(balance[block[i]] or balance[new[i]] for i in moved):
             return None
         block = new
-    buckets = {}
-    for j, c in enumerate(block[n:]):
-        buckets.setdefault(c, []).append(j)
-    image, tried = [], []
-    placed = 0
-    at = 0
+    return block
 
-    def fits(i, j):
-        seen = placed | 1 << j
-        for lists, masks in zip(tables, masks_b):
-            want = 0
-            for t in lists[i]:
-                if t < i:
-                    want |= 1 << image[t]
-                elif t == i:
-                    want |= 1 << j
-            if masks[j] & seen != want:
-                return False
-        return True
 
-    # ``image`` is the stack, ``tried`` the bucket position of each entry:
-    # extend it with the least fitting unused image in i's bucket from
-    # position ``at`` on, or pop its top and resume just after it.
-    while len(image) < n:
-        i = len(image)
-        bucket = buckets[block[i]]
-        while at < len(bucket) and (
-            placed >> bucket[at] & 1 or not fits(i, bucket[at])
-        ):
-            at += 1
-        if at < len(bucket):
-            image.append(bucket[at])
-            tried.append(at)
-            placed |= 1 << bucket[at]
-            at = 0
-        elif image:
-            placed ^= 1 << image.pop()
-            at = tried.pop() + 1
-        else:
-            return None
-    phi = tuple(image)
-    if not is_isomorphism(a, b, phi):
-        raise AssertionError("isomorphism search produced an invalid mapping")
-    return phi
+def find_isomorphism(a: Nfa, b: Nfa):
+    """The isomorphism with the lexicographically least image sequence, or
+    None when the automata are not isomorphic.
+
+    Colours over A+B start as 2 * initial + terminal and are refined by
+    ``_refine`` over successor and predecessor tables per symbol.  A colour
+    with unequal numbers of A and B states rules the isomorphism out.  When
+    each colour holds one A state and one B state, that pairing is the
+    isomorphism: a stable colouring preserves every edge and both boundary
+    bits.  Otherwise the least A state i in a larger colour takes a fresh
+    colour with each B state of its colour in turn, in increasing order, and
+    the colours are refined again (McKay & Piperno, 2014).  The search
+    backtracks only over these choices.  Every A state below i has one
+    possible image, so the first bijection found is the least.  The search
+    keeps its own stack, so its depth is not bounded by the recursion limit.
+    """
+    _require_same_alphabet(a, b)
+    if a.n != b.n:
+        return None
+    n = a.n
+    s = _sum(a, b)
+    tables = [_index_lists(r) for x in s.alphabet
+              for r in (s.delta[x], inverse(s.delta[x]))]
+    start = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
+    # Colourings still to refine, each with the pair of states that take a
+    # fresh colour in it.  Siblings go on largest image first, so their
+    # images come off in increasing order.
+    stack = [(start, ())]
+    while stack:
+        block, pair = stack.pop()
+        if pair:
+            block = block.copy()
+            block[pair[0]] = block[pair[1]] = max(block) + 1
+        block = _balanced_refine(block, tables, n)
+        if block is None:
+            continue
+        # A colour's members in increasing order: its A states, then as
+        # many B states.
+        members = {}
+        for i, c in enumerate(block):
+            members.setdefault(c, []).append(i)
+        i = next((i for i in range(n) if len(members[block[i]]) > 2), None)
+        if i is None:
+            phi = tuple(members[c][1] - n for c in block[:n])
+            if not is_isomorphism(a, b, phi):
+                raise AssertionError("isomorphism search produced an invalid mapping")
+            return phi
+        cell = members[block[i]]
+        stack += [(block, (i, j)) for j in reversed(cell[len(cell) // 2:])]
+    return None
 
 
 def random_nfa(n: int, alphabet, transition_density: float, seed) -> Nfa:

@@ -30,7 +30,7 @@ import functools
 import sys
 
 from . import equivalence
-from .automaton import Nfa, random_nfa, reverse
+from .automaton import Nfa, random_nfa
 from .bisim import (
     BisimKind,
     check,

@@ -1,13 +1,13 @@
 """Randomized property battery backing the ``selftest`` subcommand.
 
 Each trial draws a seeded pair of automata and replays the core guarantees:
-duality of the four strong algorithms, partial uniformity of accepted
-greatest relations, exact language preservation of every reduction mode,
-both subset constructions against their definition, the greatest weak
-forward simulation against a closure of the terminal-vector pairs, and (on
-small enough pairs) agreement of the fixpoint algorithms with brute-force
-enumeration over all candidate relations.  Output is buffered per trial and
-emitted in trial order.
+the greatest bb and fbb relations against their definition check, partial
+uniformity of accepted greatest relations, exact language preservation of
+every reduction mode, both subset constructions against their definition,
+the greatest weak forward simulation against a closure of the
+terminal-vector pairs, and (on small enough pairs) agreement of the fb, bb,
+bfb and fbb algorithms with brute-force enumeration over all candidate
+relations.  Output is buffered per trial and emitted in trial order.
 """
 
 from __future__ import annotations
@@ -49,15 +49,16 @@ def enumerate_greatest(kind: BisimKind, a, b):
     return best
 
 
-def _check_duality(a, b, problems):
-    fwd = greatest_forward_bisim(reverse(a), reverse(b))
-    bwd = greatest_backward_bisim(a, b)
-    if bwd.relation != fwd.relation:
-        problems.append("backward dual relation mismatch")
-    fbb = greatest_forward_backward_bisim(a, b)
-    bfb = greatest_backward_forward_bisim(reverse(a), reverse(b))
-    if fbb.relation != bfb.relation:
-        problems.append("forward-backward dual relation mismatch")
+def _check_definitions(a, b, problems):
+    # bb and fbb run the fb and bfb algorithms on the reversed automata;
+    # check reads their own conditions on A and B instead.
+    for kind, algorithm in (
+        (BisimKind.BACKWARD_BISIM, greatest_backward_bisim),
+        (BisimKind.FORWARD_BACKWARD_BISIM, greatest_forward_backward_bisim),
+    ):
+        rel = algorithm(a, b).relation
+        if rel is not None and not rel.is_empty() and not check(kind, a, b, rel):
+            problems.append(f"accepted {kind.value} relation fails its definition")
 
 
 def _check_uniformity(a, b, problems):
@@ -96,7 +97,9 @@ def _check_determinization(a, problems):
 def _check_oracles(a, b, problems):
     for kind, algorithm in (
         (BisimKind.FORWARD_BISIM, greatest_forward_bisim),
+        (BisimKind.BACKWARD_BISIM, greatest_backward_bisim),
         (BisimKind.BACKWARD_FORWARD_BISIM, greatest_backward_forward_bisim),
+        (BisimKind.FORWARD_BACKWARD_BISIM, greatest_forward_backward_bisim),
     ):
         expected = enumerate_greatest(kind, a, b)
         got = algorithm(a, b).relation
@@ -150,7 +153,7 @@ def run(max_states: int = 6, seed: int = 0, trials: int = 25, out=None) -> int:
         a = random_nfa(na, ("x", "y"), density, rng.randrange(1 << 30))
         b = random_nfa(nb, ("x", "y"), density, rng.randrange(1 << 30))
         problems = []
-        _check_duality(a, b, problems)
+        _check_definitions(a, b, problems)
         _check_uniformity(a, b, problems)
         _check_reduction(a, problems)
         _check_determinization(a, problems)

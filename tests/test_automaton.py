@@ -1,12 +1,14 @@
 import itertools
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nfabisim import automaton
 from nfabisim.automaton import (
     Nfa,
     _refine,
@@ -271,6 +273,37 @@ def _relabel(a, perm):
     return Nfa(a.n, a.alphabet, delta, sigma, tau)
 
 
+def _copies(c, count):
+    """The disjoint union of ``count`` copies of c, copy k on states
+    k * c.n onwards."""
+    n = c.n * count
+    delta = {
+        x: BoolRel.from_pairs(n, n, [
+            (k * c.n + i, k * c.n + j)
+            for k in range(count) for i, j in c.delta[x].pairs()
+        ])
+        for x in c.alphabet
+    }
+    return Nfa(n, c.alphabet, delta, list(c.sigma) * count, list(c.tau) * count)
+
+
+def _cycle_union(*sizes):
+    """Disjoint cycles on one symbol, every state initial, none terminal."""
+    n = sum(sizes)
+    edges, base = [], 0
+    for size in sizes:
+        edges += [(base + i, base + (i + 1) % size) for i in range(size)]
+        base += size
+    return Nfa(n, ("x",), {"x": BoolRel.from_pairs(n, n, edges)}, [1] * n, [0] * n)
+
+
+def _path(n):
+    """States 0 to n-1 in a line on one symbol, 0 initial."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    mark = [1] + [0] * (n - 1)
+    return Nfa(n, ("x",), {"x": BoolRel.from_pairs(n, n, edges)}, mark, [0] * n)
+
+
 def test_find_isomorphism_recovers_relabelling():
     rng = random.Random(44)
     for _ in range(20):
@@ -302,9 +335,17 @@ def test_find_isomorphism_returns_lexicographically_least():
     assert find_isomorphism(a, a) == min(candidates)
 
 
-def test_find_isomorphism_is_least_among_all_bijections():
-    # Unions of equal cycles leave every state the same color, so the search
-    # has to back out of images at the wrong distance or in the wrong cycle.
+def _least_isomorphism(a, b):
+    return min(
+        (p for p in itertools.permutations(range(a.n)) if is_isomorphism(a, b, p)),
+        default=None,
+    )
+
+
+def test_find_isomorphism_is_least_among_all_bijections(monkeypatch):
+    # Unions of equal cycles or of equal other components leave states of
+    # one colour in several components, so the search has to individualize
+    # and back out of images at the wrong distance or in the wrong component.
     rng = random.Random(7)
     for trial in range(60):
         n = rng.randint(2, 7)
@@ -312,15 +353,57 @@ def test_find_isomorphism_is_least_among_all_bijections():
             a = random_nfa(n, ("x",), 0.25, rng.randrange(1 << 30))
         else:
             k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
-            edges = [(i, i - i % k + (i + 1) % k) for i in range(n)]
-            delta = {"x": BoolRel.from_pairs(n, n, edges)}
-            cycles = Nfa(n, ("x",), delta, [1] * n, [0] * n)
-            a = _relabel(cycles, rng.sample(range(n), n))
+            a = _relabel(_cycle_union(*[k] * (n // k)), rng.sample(range(n), n))
         b = _relabel(a, rng.sample(range(n), n))
-        expected = min(
-            p for p in itertools.permutations(range(n)) if is_isomorphism(a, b, p)
-        )
-        assert find_isomorphism(a, b) == expected
+        assert find_isomorphism(a, b) == _least_isomorphism(a, b)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        k = rng.choice([d for d in range(1, n) if n % d == 0])
+        alphabet = rng.choice([("x",), ("x", "y")])
+        c = random_nfa(k, alphabet, 0.4, rng.randrange(1 << 30))
+        a = _relabel(_copies(c, n // k), rng.sample(range(n), n))
+        b = _relabel(a, rng.sample(range(n), n))
+        assert find_isomorphism(a, b) == _least_isomorphism(a, b)
+
+    # Colour refinement cannot tell cycles of one length from another.  A's
+    # state 0 lies on its 4-cycle.  Against a 2-cycle and a 4-cycle, its
+    # least candidates 0 and 1 lie on the 2-cycle and fail once refined, and
+    # candidate 2 succeeds; against two 3-cycles every candidate fails.
+    outcomes = []
+    refine = automaton._balanced_refine
+
+    def recorded(*args):
+        block = refine(*args)
+        outcomes.append(block is not None)
+        return block
+
+    monkeypatch.setattr(automaton, "_balanced_refine", recorded)
+    a = _cycle_union(4, 2)
+    for b, expected, refined in (
+        (_cycle_union(2, 4), (2, 3, 4, 5, 0, 1), [True, False, False, True, True]),
+        (_cycle_union(3, 3), None, [True] + [False] * 6),
+    ):
+        outcomes.clear()
+        assert find_isomorphism(a, b) == expected == _least_isomorphism(a, b)
+        assert outcomes == refined
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(lambda: _cycle_union(9, 9, 9), 3), (lambda: _copies(_path(3), 30), 0)],
+    ids=["three-9-cycles", "30-paths"],
+)
+def test_find_isomorphism_on_equal_components_is_fast(spec, seed):
+    # Colour refinement leaves every colour spread over all the copies, so
+    # backtracking image by image is exponential here.
+    a = spec()
+    rng = random.Random(seed)
+    one = _relabel(a, rng.sample(range(a.n), a.n))
+    other = _relabel(a, rng.sample(range(a.n), a.n))
+    start = time.perf_counter()
+    phi = find_isomorphism(one, other)
+    assert time.perf_counter() - start < 1
+    assert phi is not None and is_isomorphism(one, other, phi)
 
 
 def test_find_isomorphism_deeper_than_the_recursion_limit():
@@ -339,8 +422,8 @@ def test_find_isomorphism_deeper_than_the_recursion_limit():
 
 @pytest.mark.parametrize("marks", ["initial", "terminal"])
 def test_find_isomorphism_matches_initial_and_terminal_states(marks):
-    # fits checks edges only, so initial and terminal agreement rests on the
-    # starting colours: two edgeless states told apart by one bit.
+    # Two edgeless states told apart by one bit: initial and terminal
+    # agreement comes from the starting colours alone.
     delta = {"x": BoolRel(2, 2, [0, 0])}
     one, other = ([0, 1], [0, 0]), ([1, 0], [0, 0])
     if marks == "terminal":

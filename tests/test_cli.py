@@ -430,6 +430,28 @@ def test_selftest_weak_check_reaches_deep_pairs(monkeypatch):
     ]
 
 
+def test_selftest_definition_check_catches_a_dropped_bb_pair(monkeypatch):
+    # The greatest bb relation of A against itself relates state 0 to 0 and
+    # 3; without (0, 0) it is no bb any more.  With 4 x 4 states the
+    # enumeration oracle does not run, so the definition check alone must
+    # catch it.
+    a = random_nfa(4, ("x", "y"), 0.3, 0)
+    problems = []
+    selftest._check_definitions(a, a, problems)
+    assert problems == []
+    exact = selftest.greatest_backward_bisim(a, a)
+    masks = list(exact.relation.row_masks)
+    assert masks[0] == 0b1001
+    masks[0] = 0b1000
+
+    def dropped(a, b):
+        return dataclasses.replace(exact, relation=BoolRel(a.n, b.n, masks))
+
+    monkeypatch.setattr(selftest, "greatest_backward_bisim", dropped)
+    selftest._check_definitions(a, a, problems)
+    assert problems == ["accepted bb relation fails its definition"]
+
+
 def test_missing_file_exits_2(capsys):
     code = main(["bisim", "--kind", "fb", "no_such.nfa", data("fwd_b.nfa")])
     assert code == 2
