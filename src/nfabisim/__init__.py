@@ -8,7 +8,6 @@ from .relcalc import (
     Partition,
     arrow_left,
     arrow_right,
-    biarrow,
     cokernel,
     compose,
     induced_bijection,
@@ -18,30 +17,24 @@ from .relcalc import (
     is_partial_uniform,
     is_surjective,
     is_uniform,
-    join,
     kernel,
-    quotient_partition,
     rel_vec,
     residual_left,
     residual_right,
     scalar,
     subset_of,
-    transitive_closure,
     union,
     vec_rel,
 )
 from .automaton import (
     Nfa,
     accepts,
-    delta_word,
     factor,
     find_isomorphism,
     is_isomorphism,
     random_nfa,
     reverse,
     sigma_u,
-    subautomaton,
-    tau_u,
 )
 from .bisim import (
     BisimKind,
@@ -72,6 +65,6 @@ from .equivalence import (
     weak_forward_isomorphism,
     wfb_equivalent,
 )
-from .nerode import Dfa, dfa_isomorphic, nerode, reverse_nerode
+from .nerode import Dfa, nerode, reverse_nerode
 
 __version__ = "0.1.0"

@@ -19,20 +19,16 @@ from .relcalc import (
     _bit_indices,
     compose,
     inverse,
-    rel_vec,
     scalar,
     vec_rel,
 )
 
 __all__ = [
     "Nfa",
-    "delta_word",
     "sigma_u",
-    "tau_u",
     "accepts",
     "reverse",
     "factor",
-    "subautomaton",
     "find_isomorphism",
     "is_isomorphism",
     "random_nfa",
@@ -110,27 +106,11 @@ def _require_same_alphabet(a: Nfa, b: Nfa) -> None:
         )
 
 
-def delta_word(a: Nfa, u) -> BoolRel:
-    """Transition relation of a whole word; the empty word gives equality."""
-    rel = BoolRel.identity(a.n)
-    for x in a.word(u):
-        rel = compose(rel, a.delta[x])
-    return rel
-
-
 def sigma_u(a: Nfa, u) -> BoolVec:
     """States reachable from an initial state by reading u."""
     vec = a.sigma
     for x in a.word(u):
         vec = vec_rel(vec, a.delta[x])
-    return vec
-
-
-def tau_u(a: Nfa, u) -> BoolVec:
-    """States from which reading u can end in a terminal state."""
-    vec = a.tau
-    for x in reversed(a.word(u)):
-        vec = rel_vec(a.delta[x], vec)
     return vec
 
 
@@ -177,8 +157,7 @@ def _map(targets, cols: int) -> BoolRel:
 def _image(a: Nfa, m: BoolRel) -> Nfa:
     """Automaton over the columns of a 0/1 state map m, with
     delta'_x = m^-1 o delta_x o m, sigma' = sigma o m and tau' = tau o m.
-    A class map gives the quotient, a partial injection a restriction, and a
-    bijection a relabelled copy."""
+    A class map gives the quotient, and a bijection a relabelled copy."""
     inv = inverse(m)
     return Nfa(
         m.cols,
@@ -208,14 +187,6 @@ def factor(a: Nfa, e: Partition) -> Nfa:
     if e.n != a.n:
         raise ValueError(f"partition covers {e.n} elements, automaton has {a.n}")
     return _image(a, _map(e.class_of, e.num_classes))
-
-
-def subautomaton(a: Nfa, keep) -> Nfa:
-    """Restriction to a nonempty state subset, states reindexed in order."""
-    keep = _as_vec(keep, a.n)
-    if keep.is_empty():
-        raise ValueError("cannot restrict to the empty state set")
-    return _image(a, inverse(_map(keep.indices(), a.n)))
 
 
 def is_isomorphism(a: Nfa, b: Nfa, phi) -> bool:

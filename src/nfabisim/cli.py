@@ -10,9 +10,10 @@ Automaton files (UTF-8, ``#`` starts a comment):
     y: 0->0
 
 The four header sections are mandatory and appear once, in that order;
-``initial`` and ``terminal`` may list no states.  One optional transition
-line per declared symbol follows, transitions written ``src->dst``.  A file
-may declare, and ``gen`` may generate, at most ``MAX_STATES`` states.
+``initial`` and ``terminal`` may list no states.  A symbol may not contain
+whitespace, ``#`` or ``:``.  One optional transition line per declared
+symbol follows, transitions written ``src->dst``.  A file may declare, and
+``gen`` may generate, at most ``MAX_STATES`` states.
 
 Relation files carry a ``rows cols`` header followed by one 0/1 string per
 row.
@@ -81,6 +82,23 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
+def _alphabet_problem(symbols):
+    """Why the symbols cannot be the alphabet of an automaton file, or None.
+    An alphabet lists at least one symbol, each once; whitespace in a symbol
+    would split it, ``#`` would start a comment and ``:`` would end it on
+    its transition line."""
+    if not symbols:
+        return "alphabet must list at least one symbol"
+    if len(set(symbols)) != len(symbols):
+        return "duplicate alphabet symbol"
+    for sym in symbols:
+        bad = next((c for c in sym if c.isspace() or c in "#:"), None)
+        if bad is not None:
+            what = "whitespace" if bad.isspace() else repr(bad)
+            return f"symbol {sym!r} may not contain {what}"
+    return None
+
+
 def _parse_state(token: str, n: int, source: str, lineno: int) -> int:
     try:
         value = int(token)
@@ -128,13 +146,9 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
         )
 
     lineno, symbols = take("alphabet")
-    if not symbols:
-        raise ParseError(source, lineno, "alphabet must list at least one symbol")
-    if len(set(symbols)) != len(symbols):
-        raise ParseError(source, lineno, "duplicate alphabet symbol")
-    for sym in symbols:
-        if ":" in sym:
-            raise ParseError(source, lineno, f"symbol {sym!r} may not contain ':'")
+    problem = _alphabet_problem(symbols)
+    if problem:
+        raise ParseError(source, lineno, problem)
 
     lineno, fields = take("initial")
     initial = [_parse_state(tok, n, source, lineno) for tok in fields]
@@ -340,8 +354,9 @@ def _cmd_determinize(args) -> int:
 
 def _cmd_gen(args) -> int:
     symbols = [s for s in args.alphabet.split(",") if s]
-    if not symbols:
-        raise ValueError("alphabet must list at least one symbol")
+    problem = _alphabet_problem(symbols)
+    if problem:
+        raise ValueError(problem)
     if args.states > MAX_STATES:
         raise ValueError(
             f"state count {args.states} exceeds the limit of {MAX_STATES}"

@@ -38,7 +38,6 @@ from .nerode import _subsets
 from .relcalc import (
     BoolRel,
     Partition,
-    _uniformity_problems,
     _unions,
     cokernel,
     compose,
@@ -270,19 +269,13 @@ class UniformCrosscheck:
         return self.kernel_ok and self.cokernel_ok and self.factor_iso_ok
 
 
-def _require_uniform(phi: BoolRel) -> None:
-    if not is_uniform(phi):
-        raise ValueError(
-            "relation is not uniform: " + ", ".join(_uniformity_problems(phi))
-        )
-
-
 def _crosscheck(a, b, phi, cokernel_kind, equalities, direct_kind):
+    # induced_bijection raises ValueError unless phi is uniform.
+    mapping = induced_bijection(phi)
     ker = kernel(phi)
     coker = cokernel(phi)
     kernel_ok = check(BisimKind.FORWARD_BISIM, a, a, ker.to_relation()).ok
     cokernel_ok = check(cokernel_kind, b, b, coker.to_relation()).ok
-    mapping = induced_bijection(phi)
     factor_iso_ok = is_isomorphism(factor(a, ker), factor(b, coker), mapping)
     direct = check(direct_kind, a, b, phi).ok
     structural = kernel_ok and cokernel_ok and factor_iso_ok
@@ -307,7 +300,6 @@ def uniform_fb_crosscheck(a: Nfa, b: Nfa, phi: BoolRel) -> UniformCrosscheck:
     sigma, delta, and tau through phi.
     """
     _require_same_alphabet(a, b)
-    _require_uniform(phi)
     inv = inverse(phi)
     eqs = [
         (
@@ -348,7 +340,6 @@ def uniform_bfb_crosscheck(a: Nfa, b: Nfa, phi: BoolRel) -> UniformCrosscheck:
     bisimulation equivalence on b and the equalities are the defining ones.
     """
     _require_same_alphabet(a, b)
-    _require_uniform(phi)
     eqs = [("sigma", vec_rel(a.sigma, phi) == b.sigma)]
     for x in a.alphabet:
         eqs.append(

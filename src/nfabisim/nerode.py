@@ -1,11 +1,12 @@
-"""Accessible subset constructions and the forced DFA isomorphism check."""
+"""Accessible subset constructions, forward and reverse, over one
+breadth-first subset search."""
 
 from __future__ import annotations
 
 from .automaton import Nfa, reverse
 from .relcalc import BoolVec, _unions
 
-__all__ = ["Dfa", "nerode", "reverse_nerode", "dfa_isomorphic"]
+__all__ = ["Dfa", "nerode", "reverse_nerode"]
 
 
 class Dfa:
@@ -106,35 +107,3 @@ def reverse_nerode(a: Nfa) -> Dfa:
     forward construction applied to the reversed automaton, numbering and
     subset labels included."""
     return _determinize(reverse(a))
-
-
-def dfa_isomorphic(d1: Dfa, d2: Dfa):
-    """State bijection between two DFAs, or None.
-
-    For deterministic automata the mapping is forced: the starts must match
-    and the rest propagates along transitions.  Subset labels are ignored;
-    only the structure and the final flags matter.
-    """
-    if d1.alphabet != d2.alphabet:
-        raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
-    if d1.m != d2.m:
-        return None
-    image = [None] * d1.m
-    taken = [False] * d2.m
-    stack = [(d1.start, d2.start)]
-    while stack:
-        p, q = stack.pop()
-        if image[p] is not None:
-            if image[p] != q:
-                return None
-            continue
-        if taken[q] or d1.final[p] != d2.final[q]:
-            return None
-        image[p] = q
-        taken[q] = True
-        for k in range(len(d1.alphabet)):
-            stack.append((d1.next[p][k], d2.next[q][k]))
-    if any(img is None for img in image):
-        # Unreachable states cannot be matched by propagation.
-        return None
-    return tuple(image)

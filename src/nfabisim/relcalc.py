@@ -8,8 +8,6 @@ objects and never touch their arguments.
 
 from __future__ import annotations
 
-import itertools
-
 __all__ = [
     "BoolVec",
     "BoolRel",
@@ -22,10 +20,8 @@ __all__ = [
     "union",
     "intersect",
     "subset_of",
-    "complement",
     "arrow_right",
     "arrow_left",
-    "biarrow",
     "residual_right",
     "residual_left",
     "kernel",
@@ -34,11 +30,7 @@ __all__ = [
     "is_surjective",
     "is_partial_uniform",
     "is_uniform",
-    "functional_descriptions",
     "induced_bijection",
-    "quotient_partition",
-    "join",
-    "transitive_closure",
 ]
 
 
@@ -129,9 +121,6 @@ class BoolVec:
             raise ValueError(f"dimension mismatch: length {self.n} vs {other.n}")
         return self.mask & ~other.mask == 0
 
-    def complement(self) -> "BoolVec":
-        return BoolVec(self.n, ~self.mask & (1 << self.n) - 1)
-
     def to_text(self) -> str:
         return format(self.mask, f"0{self.n}b")[::-1]
 
@@ -213,9 +202,6 @@ class BoolRel:
 
     def __str__(self):
         return self.to_text()
-
-    def shape(self) -> tuple:
-        return (self.rows, self.cols)
 
     def row(self, a: int) -> BoolVec:
         return BoolVec(self.cols, self.row_masks[a])
@@ -369,11 +355,6 @@ def subset_of(r: BoolRel, s: BoolRel) -> bool:
     return all(m & ~k == 0 for m, k in zip(r.row_masks, s.row_masks))
 
 
-def complement(r: BoolRel) -> BoolRel:
-    top = (1 << r.cols) - 1
-    return BoolRel(r.rows, r.cols, [~m & top for m in r.row_masks])
-
-
 def arrow_right(eta: BoolVec, xi: BoolVec) -> BoolRel:
     """(a, b) related iff membership of a in eta implies b in xi."""
     full = (1 << xi.n) - 1
@@ -395,9 +376,11 @@ def arrow_left(eta: BoolVec, xi: BoolVec) -> BoolRel:
     )
 
 
-def biarrow(eta: BoolVec, xi: BoolVec) -> BoolRel:
-    """(a, b) related iff a is in eta exactly when b is in xi."""
-    return intersect(arrow_right(eta, xi), arrow_left(eta, xi))
+# No command calls the two residuals or their complement helper; they stay
+# while BENCHMARK.json's per-layer metrics name the residuals.
+def _complement(r: BoolRel) -> BoolRel:
+    top = (1 << r.cols) - 1
+    return BoolRel(r.rows, r.cols, [~m & top for m in r.row_masks])
 
 
 def residual_right(phi: BoolRel, alpha: BoolRel) -> BoolRel:
@@ -411,7 +394,7 @@ def residual_right(phi: BoolRel, alpha: BoolRel) -> BoolRel:
             f"dimension mismatch: divisor {alpha.rows}x{alpha.cols} "
             f"vs relation {phi.rows}x{phi.cols}"
         )
-    return complement(compose(inverse(alpha), complement(phi)))
+    return _complement(compose(inverse(alpha), _complement(phi)))
 
 
 def residual_left(phi: BoolRel, beta: BoolRel) -> BoolRel:
@@ -425,7 +408,7 @@ def residual_left(phi: BoolRel, beta: BoolRel) -> BoolRel:
             f"dimension mismatch: divisor {beta.rows}x{beta.cols} "
             f"vs relation {phi.rows}x{phi.cols}"
         )
-    return complement(compose(complement(phi), inverse(beta)))
+    return _complement(compose(_complement(phi), inverse(beta)))
 
 
 class Partition:
@@ -563,17 +546,6 @@ def _uniformity_problems(phi: BoolRel) -> list:
     return problems
 
 
-def functional_descriptions(phi: BoolRel):
-    """Yield every choice function picking one related column per row.
-
-    The first description picks the lowest set column in each row; the stream
-    then runs through the alternatives in lexicographic order.  A relation
-    with an empty row yields nothing.
-    """
-    choices = [tuple(_bit_indices(m)) for m in phi.row_masks]
-    return itertools.product(*choices)
-
-
 def induced_bijection(phi: BoolRel) -> tuple:
     """Map kernel classes of a uniform relation onto its cokernel classes.
 
@@ -610,40 +582,3 @@ def induced_bijection(phi: BoolRel) -> tuple:
     ):
         raise AssertionError("induced mapping depends on the choice function")
     return mapping
-
-
-def quotient_partition(f: Partition, e: Partition) -> Partition:
-    """Partition induced on the classes of e by a coarser partition f."""
-    if f.n != e.n:
-        raise ValueError(f"dimension mismatch: size {f.n} vs {e.n}")
-    labels = []
-    for members in e.classes:
-        targets = {f.class_of[m] for m in members}
-        if len(targets) > 1:
-            a = members[0]
-            b = next(m for m in members if f.class_of[m] != f.class_of[a])
-            raise ValueError(
-                f"partition does not refine the divisor: elements {a} and {b} "
-                "share a class but map to different classes"
-            )
-        labels.append(targets.pop())
-    return Partition(labels)
-
-
-def join(e: Partition, f: Partition) -> Partition:
-    """Least equivalence containing both arguments."""
-    if e.n != f.n:
-        raise ValueError(f"dimension mismatch: size {e.n} vs {f.n}")
-    closed = transitive_closure(union(e.to_relation(), f.to_relation()))
-    return Partition.from_relation(closed)
-
-
-def transitive_closure(r: BoolRel) -> BoolRel:
-    """Smallest transitive relation containing r, by iterated squaring."""
-    _require_square(r, "transitive closure input")
-    cur = r
-    while True:
-        nxt = union(cur, compose(cur, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt

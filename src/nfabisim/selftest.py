@@ -2,12 +2,14 @@
 
 Each trial draws a seeded pair of automata and replays the core guarantees:
 the greatest bb and fbb relations against their definition check, partial
-uniformity of accepted greatest relations, exact language preservation of
-every reduction mode, both subset constructions against their definition,
-the greatest weak forward simulation against a closure of the
-terminal-vector pairs, and (on small enough pairs) agreement of the fb, bb,
-bfb and fbb algorithms with brute-force enumeration over all candidate
-relations.  Output is buffered per trial and emitted in trial order.
+uniformity of accepted greatest relations, the uniform fb and bfb
+cross-checks and the fb/bfb agreement for functions on the natural map onto
+the fb factor, exact language preservation of every reduction mode, both
+subset constructions against their definition, the greatest weak forward
+simulation against a closure of the terminal-vector pairs, and (on small
+enough pairs) agreement of the fb, bb, bfb and fbb algorithms with
+brute-force enumeration over all candidate relations.  Output is buffered
+per trial and emitted in trial order.
 """
 
 from __future__ import annotations
@@ -15,19 +17,27 @@ from __future__ import annotations
 import random
 import sys
 
-from .automaton import random_nfa, reverse
+from .automaton import _map, factor, random_nfa, reverse
 from .bisim import (
     BisimKind,
     check,
     greatest_backward_bisim,
     greatest_backward_forward_bisim,
+    greatest_fb_equivalence,
     greatest_forward_backward_bisim,
     greatest_forward_bisim,
     greatest_weak_forward_bisim,
     greatest_weak_forward_sim,
     reachable_terminal_pairs,
 )
-from .equivalence import REDUCTION_MODES, language_equivalent, reduce
+from .equivalence import (
+    REDUCTION_MODES,
+    function_fb_iff_bfb,
+    language_equivalent,
+    reduce,
+    uniform_bfb_crosscheck,
+    uniform_fb_crosscheck,
+)
 from .nerode import nerode, reverse_nerode
 from .relcalc import BoolRel, is_partial_uniform, rel_vec, scalar, union, vec_rel
 
@@ -68,6 +78,24 @@ def _check_uniformity(a, b, problems):
     ):
         if rep.relation is not None and not is_partial_uniform(rep.relation):
             problems.append(f"accepted {name} relation is not partial-uniform")
+
+
+def _check_uniform_theorems(a, problems):
+    """The natural map of a onto its fb factor is a uniform function and a
+    forward bisimulation, so both uniform cross-checks must accept it, and
+    the forward and backward-forward checks of a function must agree."""
+    e = greatest_fb_equivalence(a)
+    q = factor(a, e)
+    nat = _map(e.class_of, q.n)
+    try:
+        for kind, crosscheck in (
+            ("fb", uniform_fb_crosscheck), ("bfb", uniform_bfb_crosscheck)
+        ):
+            if not crosscheck(a, q, nat).verdict:
+                problems.append(f"natural map onto the fb factor is no {kind}")
+        function_fb_iff_bfb(a, q, nat)
+    except AssertionError as exc:
+        problems.append(f"uniform cross-check: {exc}")
 
 
 def _check_reduction(a, problems):
@@ -155,6 +183,7 @@ def run(max_states: int = 6, seed: int = 0, trials: int = 25, out=None) -> int:
         problems = []
         _check_definitions(a, b, problems)
         _check_uniformity(a, b, problems)
+        _check_uniform_theorems(a, problems)
         _check_reduction(a, problems)
         _check_determinization(a, problems)
         _check_weak_sim(a, b, problems)

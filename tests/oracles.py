@@ -71,6 +71,45 @@ def kernel_oracle(phi: BoolRel) -> Partition:
     return Partition(labels)
 
 
+def functional_descriptions_oracle(phi: BoolRel) -> list:
+    """Every choice function picking one related column per row, as tuples
+    in lexicographic order; none when a row is empty."""
+    return list(itertools.product(
+        *[[b for b, bit in enumerate(row) if bit] for row in phi.bits()]
+    ))
+
+
+def quotient_partition_oracle(f: Partition, e: Partition) -> Partition:
+    """The partition f induces on the classes of e, which must refine f:
+    two classes of e share a block when their members share a class of f."""
+    labels = []
+    for members in e.classes:
+        targets = {f.class_of[m] for m in members}
+        if len(targets) != 1:
+            raise ValueError(
+                f"class {list(members)} meets {len(targets)} classes of the divisor"
+            )
+        labels.append(targets.pop())
+    return Partition(labels)
+
+
+def join_oracle(e: Partition, f: Partition) -> Partition:
+    """Least equivalence containing both partitions, by union-find over the
+    members of every class of either."""
+    parent = list(range(e.n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for part in (e, f):
+        for first, *rest in part.classes:
+            for m in rest:
+                parent[find(m)] = find(first)
+    return Partition([find(i) for i in range(e.n)])
+
+
 def _members(vec: BoolVec) -> set:
     return {i for i, bit in enumerate(vec.bits()) if bit}
 
@@ -78,6 +117,19 @@ def _members(vec: BoolVec) -> set:
 def step_states(a: Nfa, states: set, x: str) -> set:
     bits = a.delta[x].bits()
     return {j for i in states for j in range(a.n) if bits[i][j]}
+
+
+def delta_word_oracle(a: Nfa, u) -> BoolRel:
+    """Pairs (p, q) such that reading u can lead from p to q, each state's
+    set stepped one symbol at a time; the empty word gives equality."""
+    word = a.word(u)
+    pairs = set()
+    for p in range(a.n):
+        current = {p}
+        for x in word:
+            current = step_states(a, current, x)
+        pairs |= {(p, q) for q in current}
+    return BoolRel.from_pairs(a.n, a.n, pairs)
 
 
 def accepts_oracle(a: Nfa, word) -> bool:
@@ -203,6 +255,36 @@ def isomorphism_oracle(a: Nfa, b: Nfa, phi) -> bool:
             for x in a.alphabet
         )
     )
+
+
+def dfa_isomorphism_oracle(d1, d2):
+    """The state bijection between two DFAs, or None.
+
+    The pairs of states that one word reaches in each, closed from the two
+    starts under every symbol, must pair each state of either DFA with
+    exactly one state of the other and agree on final flags.  Subset labels
+    are ignored.
+    """
+    if d1.alphabet != d2.alphabet:
+        raise ValueError(f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
+    pairs = {(d1.start, d2.start)}
+    todo = list(pairs)
+    while todo:
+        p, q = todo.pop()
+        for x in d1.alphabet:
+            pair = (d1.step(p, x), d2.step(q, x))
+            if pair not in pairs:
+                pairs.add(pair)
+                todo.append(pair)
+    image = dict(pairs)
+    if (
+        len(image) != len(pairs)
+        or len(image) != d1.m
+        or sorted(image.values()) != list(range(d2.m))
+        or any(d1.final[p] != d2.final[q] for p, q in pairs)
+    ):
+        return None
+    return tuple(image[p] for p in range(d1.m))
 
 
 def bfb_violations(a: Nfa, b: Nfa, phi: BoolRel) -> tuple:

@@ -34,13 +34,12 @@ from nfabisim.equivalence import (
     uniform_fb_crosscheck,
     wfb_equivalent,
 )
-from nfabisim.nerode import dfa_isomorphic, reverse_nerode
+from nfabisim.nerode import reverse_nerode
 from nfabisim.relcalc import (
     BoolRel,
     is_complete,
     is_partial_uniform,
     is_surjective,
-    quotient_partition,
     rel_vec,
     subset_of,
     union,
@@ -69,7 +68,9 @@ from oracles import (
     all_partitions,
     bfb_oracle,
     bfb_violations,
+    dfa_isomorphism_oracle,
     language_oracle,
+    quotient_partition_oracle,
     random_functional_relation,
     random_uniform_relation,
 )
@@ -288,7 +289,7 @@ def test_criterion_10_factor_structure_exhaustive():
             for e in parts:
                 if not e.refines(f):
                     continue
-                two_step = factor(factor(a, e), quotient_partition(f, e))
+                two_step = factor(factor(a, e), quotient_partition_oracle(f, e))
                 ok = ok and find_isomorphism(two_step, factor(a, f)) is not None
         # greatest-equivalence correspondence across every nested pair of
         # forward bisimulation equivalences
@@ -304,7 +305,7 @@ def test_criterion_10_factor_structure_exhaustive():
                 if not e.refines(f):
                     continue
                 ok = ok and (
-                    (f == best) == (quotient_partition(f, e) == projected_best)
+                    (f == best) == (quotient_partition_oracle(f, e) == projected_best)
                 )
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
@@ -313,7 +314,7 @@ def test_criterion_10_factor_structure_exhaustive():
 
 def test_criterion_11_reverse_nerode_criterion():
     ra, rb = reverse_nerode(WEAK_A), reverse_nerode(WEAK_B)
-    iso = dfa_isomorphic(ra, rb)
+    iso = dfa_isomorphism_oracle(ra, rb)
     mu = greatest_weak_forward_bisim(WEAK_A, WEAK_B).relation
     # the relation maps each terminal vector of one automaton to the matching
     # vector of the other, and the two maps invert each other

@@ -13,23 +13,18 @@ from nfabisim.automaton import (
     Nfa,
     _refine,
     accepts,
-    delta_word,
     factor,
     find_isomorphism,
     is_isomorphism,
     random_nfa,
     reverse,
     sigma_u,
-    subautomaton,
-    tau_u,
 )
 from nfabisim.bisim import BisimKind, check, greatest_fb_equivalence, greatest_forward_bisim
 from nfabisim.relcalc import (
     BoolRel,
     BoolVec,
     Partition,
-    compose,
-    quotient_partition,
     rel_vec,
     vec_rel,
 )
@@ -48,9 +43,11 @@ from goldens import (
 from oracles import (
     all_partitions,
     compose_oracle,
+    delta_word_oracle,
     factor_oracle,
     isomorphism_oracle,
     language_oracle,
+    quotient_partition_oracle,
     random_partition,
     refine_oracle,
     subautomaton_oracle,
@@ -71,21 +68,24 @@ def test_constructor_validation():
 
 
 # --- word relations -------------------------------------------------------
+# The word-relation oracle the sigma_u test below relies on, then sigma_u.
+# tau_u, the states from which reading u can end in a terminal state, is
+# sigma_u of the reversed automaton on the reversed word.
 
 
 def test_delta_word_empty_is_identity():
-    assert delta_word(FWD_A, "") == BoolRel.identity(3)
+    assert delta_word_oracle(FWD_A, "") == BoolRel.identity(3)
 
 
 def test_delta_word_golden():
-    got = delta_word(FWD_A, "xy")
+    got = delta_word_oracle(FWD_A, "xy")
     assert got == compose_oracle(FWD_A.delta["x"], FWD_A.delta["y"])
     assert got == BoolRel.from_bits([[1, 1, 1], [0, 0, 1], [1, 1, 0]])
 
 
 def test_delta_word_unknown_symbol():
     with pytest.raises(ValueError, match="'z'"):
-        delta_word(FWD_A, "xz")
+        delta_word_oracle(FWD_A, "xz")
 
 
 def test_delta_word_concatenation():
@@ -94,12 +94,14 @@ def test_delta_word_concatenation():
         a = random_nfa(rng.randint(1, 5), ("x", "y"), 0.4, rng.randrange(1 << 30))
         u = tuple(rng.choice("xy") for _ in range(rng.randint(0, 3)))
         v = tuple(rng.choice("xy") for _ in range(rng.randint(0, 3)))
-        assert delta_word(a, u + v) == compose(delta_word(a, u), delta_word(a, v))
+        assert delta_word_oracle(a, u + v) == compose_oracle(
+            delta_word_oracle(a, u), delta_word_oracle(a, v)
+        )
 
 
 def test_sigma_tau_word_vectors_golden():
-    assert tau_u(WEAK_A, "") == WEAK_A.tau
-    assert tau_u(WEAK_A, "x") == BoolVec.zeros(4)
+    assert sigma_u(reverse(WEAK_A), "") == WEAK_A.tau
+    assert sigma_u(reverse(WEAK_A), "x") == BoolVec.zeros(4)
     assert sigma_u(WEAK_B, "x") == BoolVec.from_bits([1, 0])
 
 
@@ -107,12 +109,15 @@ def test_sigma_tau_incremental_identities():
     rng = random.Random(41)
     for _ in range(20):
         a = random_nfa(rng.randint(1, 5), ("x", "y"), 0.4, rng.randrange(1 << 30))
+        rev = reverse(a)
         u = tuple(rng.choice("xy") for _ in range(rng.randint(0, 4)))
         x = rng.choice("xy")
-        assert sigma_u(a, u) == vec_rel(a.sigma, delta_word(a, u))
-        assert tau_u(a, u) == rel_vec(delta_word(a, u), a.tau)
+        assert sigma_u(a, u) == vec_rel(a.sigma, delta_word_oracle(a, u))
+        assert sigma_u(rev, u[::-1]) == rel_vec(delta_word_oracle(a, u), a.tau)
         assert sigma_u(a, u + (x,)) == vec_rel(sigma_u(a, u), a.delta[x])
-        assert tau_u(a, (x,) + u) == rel_vec(a.delta[x], tau_u(a, u))
+        assert sigma_u(rev, u[::-1] + (x,)) == rel_vec(
+            a.delta[x], sigma_u(rev, u[::-1])
+        )
 
 
 # --- languages -------------------------------------------------------------
@@ -188,7 +193,7 @@ def test_factor_tower_collapses():
             for e in parts:
                 if not e.refines(f):
                     continue
-                two_step = factor(factor(a, e), quotient_partition(f, e))
+                two_step = factor(factor(a, e), quotient_partition_oracle(f, e))
                 one_step = factor(a, f)
                 assert find_isomorphism(two_step, one_step) is not None
 
@@ -200,7 +205,7 @@ def test_partition_correspondence_on_four_elements():
     assert len(parts) == 15
     for e in parts:
         coarser = [f for f in parts if e.refines(f)]
-        images = {f: quotient_partition(f, e) for f in coarser}
+        images = {f: quotient_partition_oracle(f, e) for f in coarser}
         assert len(set(images.values())) == len(coarser)
         assert set(images.values()) == set(all_partitions(e.num_classes))
         for f in coarser:
@@ -209,16 +214,16 @@ def test_partition_correspondence_on_four_elements():
 
 
 # --- subautomata ---------------------------------------------------------------
+# The restriction oracle the test below relies on.
 
 
 def test_subautomaton_keep_all():
-    sub = subautomaton(FWD_A, BoolVec.ones(3))
-    assert sub == FWD_A
+    assert subautomaton_oracle(FWD_A, range(3)) == FWD_A
 
 
 def test_subautomaton_empty_keep():
     with pytest.raises(ValueError):
-        subautomaton(FWD_A, BoolVec.zeros(3))
+        subautomaton_oracle(FWD_A, ())
 
 
 def test_restriction_to_domain_and_image_keeps_simulations():
@@ -228,9 +233,9 @@ def test_restriction_to_domain_and_image_keeps_simulations():
     phi = rep.relation
     dom = BoolVec.from_bits([1 if phi.row_masks[a] else 0 for a in range(phi.rows)])
     im = vec_rel(dom, phi)
-    sub_a = subautomaton(LANG_A, dom)
-    sub_b = subautomaton(LANG_B, im)
     dom_idx, im_idx = dom.indices(), im.indices()
+    sub_a = subautomaton_oracle(LANG_A, dom_idx)
+    sub_b = subautomaton_oracle(LANG_B, im_idx)
     restricted = BoolRel.from_bits(
         [[phi[i, j] for j in im_idx] for i in dom_idx]
     )
@@ -606,8 +611,8 @@ def test_is_isomorphism_rejects_non_bijections():
 
 
 def test_state_map_images_match_the_definitions():
-    # factor, subautomaton and is_isomorphism against set-based oracles that
-    # share no code with them: random partitions and nonempty subsets, then
+    # factor and is_isomorphism against set-based oracles that share no
+    # code with them: random partitions, then
     # every permutation onto the automaton itself, onto a relabelled copy,
     # onto that copy with its alphabet declared in another order and onto
     # one-bit near-copies of it, and last a few non-bijections
@@ -621,9 +626,6 @@ def test_state_map_images_match_the_definitions():
         for _ in range(3):
             e = random_partition(rng, n, rng.randint(1, n))
             assert factor(a, e) == factor_oracle(a, e)
-            keep = rng.sample(range(n), rng.randint(1, n))
-            kept = subautomaton(a, BoolVec.from_indices(n, keep))
-            assert kept == subautomaton_oracle(a, keep)
         perm = tuple(rng.sample(range(n), n))
         copy = _relabel(a, perm)
         shuffled = Nfa(n, alphabet[::-1], copy.delta, copy.sigma, copy.tau)

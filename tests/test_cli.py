@@ -328,6 +328,11 @@ def test_cmd_gen_bad_density(capsys):
         (["--states", "3", "--density", "2.0"],
          "density must lie in [0, 1], got 2.0"),
         (["--states", "0"], "automaton needs at least one state"),
+        # Symbols the automaton format cannot read back.
+        (["--states", "3", "--alphabet", "x:y"], "symbol 'x:y' may not contain ':'"),
+        (["--states", "3", "--alphabet", "x#"], "symbol 'x#' may not contain '#'"),
+        (["--states", "3", "--alphabet", "a b"],
+         "symbol 'a b' may not contain whitespace"),
     ],
 )
 def test_cmd_gen_errors_print_one_line_and_exit_2(capsys, argv, message):
@@ -336,6 +341,17 @@ def test_cmd_gen_errors_print_one_line_and_exit_2(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_cmd_gen_output_reads_back(tmp_path, capsys):
+    argv = ["gen", "--states", "5", "--alphabet", "a,b->c,é,0", "--seed", "3"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert format_nfa(parse_nfa(text)) == text
+    path = tmp_path / "gen.nfa"
+    path.write_text(text, encoding="utf-8")
+    assert main(["reduce", "--mode", "fb", str(path)]) == 0
+    assert parse_nfa(capsys.readouterr().out).alphabet == ("a", "b->c", "é", "0")
 
 
 @pytest.mark.parametrize("n", [MAX_STATES + 1, 10**9])
@@ -450,6 +466,35 @@ def test_selftest_definition_check_catches_a_dropped_bb_pair(monkeypatch):
     monkeypatch.setattr(selftest, "greatest_backward_bisim", dropped)
     selftest._check_definitions(a, a, problems)
     assert problems == ["accepted bb relation fails its definition"]
+
+
+def test_selftest_uniform_cross_checks_catch_failures(monkeypatch):
+    # The natural map onto the one-class factor of an automaton with
+    # terminal and non-terminal states is no fb and no bfb; a factor
+    # isomorphism check that rejects everything makes the characterizations
+    # of a uniform fb disagree, which fails the trial with one line.
+    a = random_nfa(4, ("x", "y"), 0.3, 0)
+    problems = []
+    selftest._check_uniform_theorems(a, problems)
+    assert problems == []
+    with monkeypatch.context() as m:
+        m.setattr(selftest, "greatest_fb_equivalence",
+                  lambda a: Partition.single_class(a.n))
+        selftest._check_uniform_theorems(a, problems)
+    assert problems == [
+        "natural map onto the fb factor is no fb",
+        "natural map onto the fb factor is no bfb",
+    ]
+    monkeypatch.setattr(equivalence, "is_isomorphism", lambda a, b, phi: False)
+    out = io.StringIO()
+    assert selftest.run(max_states=3, seed=0, trials=2, out=out) == 1
+    assert out.getvalue() == (
+        "trial   0: FAIL uniform cross-check: characterizations disagree:"
+        " structural=False, direct=True, equalities=True\n"
+        "trial   1: FAIL uniform cross-check: characterizations disagree:"
+        " structural=False, direct=True, equalities=True\n"
+        "selftest: 0/2 trials passed (seed 0, max states 3)\n"
+    )
 
 
 def test_missing_file_exits_2(capsys):

@@ -29,7 +29,6 @@ from nfabisim.relcalc import (
     BoolVec,
     Partition,
     is_uniform,
-    quotient_partition,
 )
 
 from goldens import (
@@ -49,6 +48,7 @@ from goldens import (
 from oracles import (
     all_partitions,
     language_oracle,
+    quotient_partition_oracle,
     random_functional_relation,
     random_uniform_relation,
 )
@@ -468,6 +468,6 @@ def test_greatest_equivalence_correspondence():
             for f in fb_parts:
                 if not e.refines(f):
                     continue
-                projected = quotient_partition(f, e)
+                projected = quotient_partition_oracle(f, e)
                 projected_best = greatest_fb_equivalence(quotient)
                 assert (f == best) == (projected == projected_best)
