@@ -107,9 +107,6 @@ class CheckResult:
     def __bool__(self):
         return self.ok
 
-    def failed(self) -> tuple:
-        return tuple(name for name, holds in self.conditions if not holds)
-
 
 @dataclass(frozen=True)
 class BisimReport:
@@ -130,10 +127,6 @@ class BisimReport:
     def __post_init__(self):
         if (self.relation is None) == (self.failure is None):
             raise ValueError("exactly one of relation and failure must be set")
-
-    @property
-    def exists(self) -> bool:
-        return self.relation is not None
 
 
 def _require_shape(a: Nfa, b: Nfa, phi: BoolRel) -> None:

@@ -53,7 +53,6 @@ __all__ = [
     "parse_nfa",
     "format_nfa",
     "parse_rel",
-    "format_rel",
     "format_dfa",
     "main",
 ]
@@ -212,9 +211,8 @@ def format_nfa(a: Nfa) -> str:
         "terminal" + "".join(f" {q}" for q in a.tau.indices())
     )
     for x in a.alphabet:
-        pairs = sorted(a.delta[x].pairs())
         out.append(
-            f"{x}:" + "".join(f" {s}->{d}" for s, d in pairs)
+            f"{x}:" + "".join(f" {s}->{d}" for s, d in a.delta[x].pairs())
         )
     return "\n".join(out) + "\n"
 
@@ -232,8 +230,7 @@ def format_dfa(d: Dfa) -> str:
         members = " ".join(str(i) for i in d.subset_of[q].indices()) or "(empty)"
         out.append(f"# subset: {q} = {members}")
     for k, x in enumerate(d.alphabet):
-        pairs = sorted((q, d.next[q][k]) for q in range(d.m))
-        out.append(f"{x}:" + "".join(f" {s}->{t}" for s, t in pairs))
+        out.append(f"{x}:" + "".join(f" {q}->{d.next[q][k]}" for q in range(d.m)))
     return "\n".join(out) + "\n"
 
 
@@ -262,10 +259,6 @@ def parse_rel(text: str, source: str = "<string>") -> BoolRel:
             )
         masks.append(int(row[::-1], 2))
     return BoolRel(rows, cols, masks)
-
-
-def format_rel(r: BoolRel) -> str:
-    return f"{r.rows} {r.cols}\n" + r.to_text() + "\n"
 
 
 def _load_nfa(path: str) -> Nfa:

@@ -261,12 +261,7 @@ class UniformCrosscheck:
     cokernel_ok: bool
     factor_iso_ok: bool
     equalities: tuple
-    direct: bool
     verdict: bool
-
-    @property
-    def structural(self) -> bool:
-        return self.kernel_ok and self.cokernel_ok and self.factor_iso_ok
 
 
 def _crosscheck(a, b, phi, cokernel_kind, equalities, direct_kind):
@@ -286,7 +281,7 @@ def _crosscheck(a, b, phi, cokernel_kind, equalities, direct_kind):
             f"direct={direct}, equalities={all_equal}"
         )
     return UniformCrosscheck(
-        kernel_ok, cokernel_ok, factor_iso_ok, tuple(equalities), direct, direct
+        kernel_ok, cokernel_ok, factor_iso_ok, tuple(equalities), direct
     )
 
 

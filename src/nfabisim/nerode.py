@@ -34,15 +34,6 @@ class Dfa:
         if len(set(v.mask for v in self.subset_of)) != m:
             raise ValueError("subset labels must be pairwise distinct")
 
-    def step(self, q: int, x: str) -> int:
-        return self.next[q][self.alphabet.index(x)]
-
-    def accepts(self, u) -> bool:
-        q = self.start
-        for x in u:
-            q = self.step(q, x)
-        return self.final[q]
-
     def __eq__(self, other):
         return (
             isinstance(other, Dfa)

@@ -63,23 +63,6 @@ class BoolVec:
                 mask |= 1 << i
         return cls(len(bits), mask)
 
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "BoolVec":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for length {n}")
-            mask |= 1 << i
-        return cls(n, mask)
-
-    @classmethod
-    def zeros(cls, n: int) -> "BoolVec":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BoolVec":
-        return cls(n, (1 << n) - 1)
-
     def __len__(self):
         return self.n
 
@@ -104,17 +87,12 @@ class BoolVec:
     def __str__(self):
         return self.to_text()
 
+    # No command calls bits or to_text; __repr__ and __str__ do.
     def bits(self) -> tuple:
         return tuple(self.mask >> i & 1 for i in range(self.n))
 
     def indices(self) -> tuple:
         return tuple(_bit_indices(self.mask))
-
-    def count(self) -> int:
-        return bin(self.mask).count("1")
-
-    def is_empty(self) -> bool:
-        return self.mask == 0
 
     def issubset(self, other: "BoolVec") -> bool:
         if self.n != other.n:
@@ -168,18 +146,6 @@ class BoolRel:
             masks[a] |= 1 << b
         return cls(rows, cols, masks)
 
-    @classmethod
-    def identity(cls, n: int) -> "BoolRel":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def full(cls, rows: int, cols: int) -> "BoolRel":
-        return cls(rows, cols, [(1 << cols) - 1] * rows)
-
-    @classmethod
-    def empty(cls, rows: int, cols: int) -> "BoolRel":
-        return cls(rows, cols, [0] * rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, BoolRel)
@@ -203,9 +169,7 @@ class BoolRel:
     def __str__(self):
         return self.to_text()
 
-    def row(self, a: int) -> BoolVec:
-        return BoolVec(self.cols, self.row_masks[a])
-
+    # No command calls bits; __repr__ does.
     def bits(self) -> tuple:
         return tuple(
             tuple(m >> j & 1 for j in range(self.cols)) for m in self.row_masks
@@ -216,6 +180,7 @@ class BoolRel:
             (a, b) for a, m in enumerate(self.row_masks) for b in _bit_indices(m)
         )
 
+    # No command counts pairs; the bench tracer counts those a fixpoint removes.
     def count(self) -> int:
         return sum(map(int.bit_count, self.row_masks))
 
@@ -436,31 +401,6 @@ class Partition:
         self.classes = tuple(tuple(c) for c in classes)
 
     @classmethod
-    def identity(cls, n: int) -> "Partition":
-        return cls(range(n))
-
-    @classmethod
-    def single_class(cls, n: int) -> "Partition":
-        return cls([0] * n)
-
-    @classmethod
-    def from_classes(cls, n: int, classes) -> "Partition":
-        labels = [None] * n
-        for c, members in enumerate(classes):
-            if not members:
-                raise ValueError("classes must be nonempty")
-            for e in members:
-                if not 0 <= e < n:
-                    raise ValueError(f"element {e} out of range for size {n}")
-                if labels[e] is not None:
-                    raise ValueError(f"element {e} appears in two classes")
-                labels[e] = c
-        if any(lab is None for lab in labels):
-            missing = [e for e, lab in enumerate(labels) if lab is None]
-            raise ValueError(f"elements not covered by any class: {missing}")
-        return cls(labels)
-
-    @classmethod
     def from_relation(cls, rel: BoolRel) -> "Partition":
         """Convert an equivalence relation; rejects non-equivalences."""
         _require_square(rel, "equivalence relation")
@@ -483,14 +423,6 @@ class Partition:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def refines(self, other: "Partition") -> bool:
-        """True when every class of self lies inside a class of other."""
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: size {self.n} vs {other.n}")
-        return all(
-            len({other.class_of[e] for e in members}) == 1 for members in self.classes
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Partition)
@@ -502,7 +434,7 @@ class Partition:
         return hash((self.n, self.class_of))
 
     def __repr__(self):
-        return f"Partition.from_classes({self.n}, {[list(c) for c in self.classes]})"
+        return f"Partition({list(self.class_of)})"
 
 
 def kernel(phi: BoolRel) -> Partition:

@@ -93,6 +93,13 @@ def quotient_partition_oracle(f: Partition, e: Partition) -> Partition:
     return Partition(labels)
 
 
+def refines_oracle(e: Partition, f: Partition) -> bool:
+    """Whether every class of e lies inside a class of f.  Labelling each
+    element by its pair of classes gives the meet of e and f, which equals e
+    exactly when e refines f."""
+    return Partition(zip(e.class_of, f.class_of)) == e
+
+
 def join_oracle(e: Partition, f: Partition) -> Partition:
     """Least equivalence containing both partitions, by union-find over the
     members of every class of either."""
@@ -271,8 +278,7 @@ def dfa_isomorphism_oracle(d1, d2):
     todo = list(pairs)
     while todo:
         p, q = todo.pop()
-        for x in d1.alphabet:
-            pair = (d1.step(p, x), d2.step(q, x))
+        for pair in zip(d1.next[p], d2.next[q]):
             if pair not in pairs:
                 pairs.add(pair)
                 todo.append(pair)

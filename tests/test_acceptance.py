@@ -73,6 +73,7 @@ from oracles import (
     quotient_partition_oracle,
     random_functional_relation,
     random_uniform_relation,
+    refines_oracle,
 )
 
 
@@ -93,7 +94,6 @@ def test_criterion_01_forward_golden():
         steps[0] == FWD_PHI1
         and steps[1] == FWD_PHI2
         and steps[2] == steps[1]
-        and rep.exists
         and rep.relation == FWD_PHI2
         and elapsed < 1.0
     )
@@ -115,15 +115,14 @@ def test_criterion_02_heterotypic_golden():
         HETERO_BFB_GREATEST, BoolRel.from_pairs(2, 3, [(0, 1)])
     )
     ok = (
-        rep.exists
-        and rep.relation == HETERO_BFB_GREATEST
+        rep.relation == HETERO_BFB_GREATEST
         and bfb_oracle(HETERO_A, HETERO_B, HETERO_BFB_GREATEST)
         and bfb_oracle(HETERO_A, HETERO_B, HETERO_BFB_SMALLER)
         and subset_of(HETERO_BFB_SMALLER, rep.relation)
         and rep.relation != HETERO_BFB_SMALLER
         and "terminal-image-rev"
         in bfb_violations(HETERO_A, HETERO_B, with_missing_pair)
-        and not fwd.exists
+        and fwd.relation is None
         and not is_partial_uniform(rep.relation)
         and elapsed < 1.0
     )
@@ -134,7 +133,7 @@ def test_criterion_03_language_equal_pair():
     start = time.perf_counter()
     direct = greatest_forward_bisim(LANG_A, LANG_B)
     direct_ok = (
-        direct.exists
+        direct.relation is not None
         and is_complete(direct.relation)
         and is_surjective(direct.relation)
     )
@@ -161,7 +160,7 @@ def test_criterion_03_language_equal_pair():
 def test_criterion_04_weak_golden():
     start = time.perf_counter()
     rep = greatest_weak_forward_bisim(WEAK_A, WEAK_B)
-    weak_ok = rep.exists and rep.relation == WEAK_MU
+    weak_ok = rep.relation == WEAK_MU
     strong = fb_equivalent(WEAK_A, WEAK_B)
     weak = wfb_equivalent(WEAK_A, WEAK_B)
     modified = wfb_equivalent(WEAK_A_MOD, WEAK_B_MOD)
@@ -255,7 +254,7 @@ def test_criterion_08_accepted_relations_are_partial_uniform():
         instances.extend([(a, a), (a, reduce(a, "fb")), (a, b)])
     for a, b in instances:
         for rep in (greatest_forward_bisim(a, b), greatest_weak_forward_bisim(a, b)):
-            if rep.exists and not rep.relation.is_empty():
+            if rep.relation is not None and not rep.relation.is_empty():
                 checked += 1
                 ok = ok and is_partial_uniform(rep.relation)
     ok = ok and checked >= 200
@@ -270,7 +269,8 @@ def test_criterion_09_crosscheck_agreement():
         b = random_nfa(rng.randint(1, 4), ("x", "y"), 0.4, rng.randrange(1 << 30))
         phi = random_uniform_relation(rng, a.n, b.n)
         report = uniform_fb_crosscheck(a, b, phi)  # raises on disagreement
-        ok = ok and report.structural == report.direct
+        structural = report.kernel_ok and report.cokernel_ok and report.factor_iso_ok
+        ok = ok and structural == report.verdict
     for _ in range(200):
         a = random_nfa(rng.randint(1, 4), ("x", "y"), 0.4, rng.randrange(1 << 30))
         b = random_nfa(rng.randint(1, 4), ("x", "y"), 0.4, rng.randrange(1 << 30))
@@ -287,7 +287,7 @@ def test_criterion_10_factor_structure_exhaustive():
         # two-stage factors collapse, for every nested pair of equivalences
         for f in parts:
             for e in parts:
-                if not e.refines(f):
+                if not refines_oracle(e, f):
                     continue
                 two_step = factor(factor(a, e), quotient_partition_oracle(f, e))
                 ok = ok and find_isomorphism(two_step, factor(a, f)) is not None
@@ -302,7 +302,7 @@ def test_criterion_10_factor_structure_exhaustive():
             quotient = factor(a, e)
             projected_best = greatest_fb_equivalence(quotient)
             for f in fb_parts:
-                if not e.refines(f):
+                if not refines_oracle(e, f):
                     continue
                 ok = ok and (
                     (f == best) == (quotient_partition_oracle(f, e) == projected_best)

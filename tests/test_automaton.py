@@ -50,6 +50,7 @@ from oracles import (
     quotient_partition_oracle,
     random_partition,
     refine_oracle,
+    refines_oracle,
     subautomaton_oracle,
 )
 
@@ -74,7 +75,7 @@ def test_constructor_validation():
 
 
 def test_delta_word_empty_is_identity():
-    assert delta_word_oracle(FWD_A, "") == BoolRel.identity(3)
+    assert delta_word_oracle(FWD_A, "") == BoolRel(3, 3, [1, 2, 4])
 
 
 def test_delta_word_golden():
@@ -101,7 +102,7 @@ def test_delta_word_concatenation():
 
 def test_sigma_tau_word_vectors_golden():
     assert sigma_u(reverse(WEAK_A), "") == WEAK_A.tau
-    assert sigma_u(reverse(WEAK_A), "x") == BoolVec.zeros(4)
+    assert sigma_u(reverse(WEAK_A), "x") == BoolVec(4)
     assert sigma_u(WEAK_B, "x") == BoolVec.from_bits([1, 0])
 
 
@@ -165,12 +166,12 @@ def test_reverse_language():
 
 
 def test_factor_by_identity_is_isomorphic():
-    quotient = factor(FWD_B, Partition.identity(5))
+    quotient = factor(FWD_B, Partition(range(5)))
     assert find_isomorphism(FWD_B, quotient) is not None
 
 
 def test_factor_weak_golden():
-    quotient = factor(WEAK_A, Partition.from_classes(4, [[0, 1, 3], [2]]))
+    quotient = factor(WEAK_A, Partition([0, 0, 1, 0]))
     assert quotient.n == 2
     assert language_oracle(quotient, 6) == language_oracle(WEAK_A, 6)
 
@@ -182,7 +183,7 @@ def test_factor_by_greatest_forward_equivalence():
 
 def test_factor_size_mismatch():
     with pytest.raises(ValueError):
-        factor(FWD_B, Partition.identity(4))
+        factor(FWD_B, Partition(range(4)))
 
 
 def test_factor_tower_collapses():
@@ -191,7 +192,7 @@ def test_factor_tower_collapses():
         parts = list(all_partitions(a.n))
         for f in parts:
             for e in parts:
-                if not e.refines(f):
+                if not refines_oracle(e, f):
                     continue
                 two_step = factor(factor(a, e), quotient_partition_oracle(f, e))
                 one_step = factor(a, f)
@@ -204,13 +205,13 @@ def test_partition_correspondence_on_four_elements():
     parts = list(all_partitions(4))
     assert len(parts) == 15
     for e in parts:
-        coarser = [f for f in parts if e.refines(f)]
+        coarser = [f for f in parts if refines_oracle(e, f)]
         images = {f: quotient_partition_oracle(f, e) for f in coarser}
         assert len(set(images.values())) == len(coarser)
         assert set(images.values()) == set(all_partitions(e.num_classes))
         for f in coarser:
             for g in coarser:
-                assert f.refines(g) == images[f].refines(images[g])
+                assert refines_oracle(f, g) == refines_oracle(images[f], images[g])
 
 
 # --- subautomata ---------------------------------------------------------------
@@ -652,7 +653,7 @@ def test_state_map_images_match_the_definitions():
         for phi in broken:
             assert not isomorphism_oracle(a, copy, phi)
             assert not is_isomorphism(a, copy, phi)
-        other = Nfa(n, ("w",), {"w": BoolRel.empty(n, n)}, a.sigma, a.tau)
+        other = Nfa(n, ("w",), {"w": BoolRel(n, n, [0] * n)}, a.sigma, a.tau)
         assert not is_isomorphism(a, other, perm)
         assert not isomorphism_oracle(a, other, perm)
     assert positives > 100
@@ -670,11 +671,11 @@ def test_random_nfa_deterministic():
 
 def test_random_nfa_density_extremes():
     sparse = random_nfa(4, ("x",), 0.0, seed=1)
-    assert sparse.delta["x"] == BoolRel.empty(4, 4)
-    assert sparse.sigma.count() == 1 and sparse.tau.count() == 1
+    assert sparse.delta["x"] == BoolRel(4, 4, [0] * 4)
+    assert len(sparse.sigma.indices()) == 1 and len(sparse.tau.indices()) == 1
     dense = random_nfa(4, ("x",), 1.0, seed=1)
-    assert dense.delta["x"] == BoolRel.full(4, 4)
-    assert dense.sigma == BoolVec.ones(4) and dense.tau == BoolVec.ones(4)
+    assert dense.delta["x"] == BoolRel(4, 4, [0b1111] * 4)
+    assert dense.sigma == BoolVec(4, 0b1111) and dense.tau == BoolVec(4, 0b1111)
 
 
 def test_random_nfa_invalid_density():

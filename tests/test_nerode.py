@@ -24,14 +24,17 @@ from oracles import (
 
 
 def dfa_language(dfa, maxlen):
-    """Every word of length <= maxlen that ``Dfa.accepts``, in
-    length-then-lex order, like ``language_oracle``."""
-    return [
-        word
-        for length in range(maxlen + 1)
-        for word in itertools.product(dfa.alphabet, repeat=length)
-        if dfa.accepts(word)
-    ]
+    """Every word of length <= maxlen that leads the DFA from its start to a
+    final state, in length-then-lex order, like ``language_oracle``."""
+    words = []
+    for length in range(maxlen + 1):
+        for word in itertools.product(range(len(dfa.alphabet)), repeat=length):
+            q = dfa.start
+            for k in word:
+                q = dfa.next[q][k]
+            if dfa.final[q]:
+                words.append(tuple(dfa.alphabet[k] for k in word))
+    return words
 
 
 def test_nerode_golden():
@@ -56,7 +59,7 @@ def test_nerode_of_deterministic_input():
     )
     dfa = nerode(a)
     assert dfa.m == a.n
-    assert all(v.count() == 1 for v in dfa.subset_of)
+    assert all(len(v.indices()) == 1 for v in dfa.subset_of)
     assert dfa_language(dfa, 5) == language_oracle(a, 5)
 
 
@@ -90,7 +93,7 @@ def test_reverse_nerode_golden():
     assert [v.to_text() for v in dfa.subset_of] == ["0010", "0000"]
     assert dfa.final == (False, False)
     # the dead empty subset loops to itself
-    empty = dfa.subset_of.index(BoolVec.zeros(4))
+    empty = dfa.subset_of.index(BoolVec(4))
     assert dfa.next[empty] == (empty,)
 
 
@@ -257,7 +260,7 @@ def test_uniform_weak_bisim_translates_subset_automata_on_random_pairs():
         a = random_nfa(rng.randint(1, 5), ("x", "y"), 0.4, rng.randrange(1 << 30))
         b = factor(a, wfb_equivalence_bound(a))
         rep = greatest_weak_forward_bisim(a, b)
-        if not rep.exists or not is_uniform(rep.relation):
+        if rep.relation is None or not is_uniform(rep.relation):
             continue
         checked += 1
         mu = rep.relation
