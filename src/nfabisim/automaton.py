@@ -36,11 +36,7 @@ __all__ = [
 
 
 def _as_vec(value, n: int) -> BoolVec:
-    if isinstance(value, BoolVec):
-        if value.n != n:
-            raise ValueError(f"state vector has length {value.n}, expected {n}")
-        return value
-    vec = BoolVec.from_bits(value)
+    vec = value if isinstance(value, BoolVec) else BoolVec.from_bits(value)
     if vec.n != n:
         raise ValueError(f"state vector has length {vec.n}, expected {n}")
     return vec

@@ -3,18 +3,20 @@
 The strong kinds are decided by the paper's shrinking fixpoint: start from
 the largest relation compatible with the boundary vectors, intersect it with
 its per-symbol residual bounds round by round until stable, then test the two
-covering conditions that the fixpoint cannot enforce.  For fb (and bb, fb on
-the reversed automata) every round is one round of partition refinement over
-the disjoint union of the two automata, which re-keys only the predecessors
-of the states the round before moved once those are few.  For bfb
-(and fbb) each round after the first re-tests, row by row and column by
-column, only the witnesses that the round before removed.  Both return the
-paper's exact sequence of relations.  The weak kinds read the finitely many
-reachable vector pairs instead, found by the one breadth-first subset search
-(``nerode._subsets``) that also determinizes: the weak forward kinds the
-terminal-vector pairs, the subsets of the reversed disjoint union A+B, and
-the weak backward kinds the initial-vector pairs, the subsets of A+B itself.
-They compare the states' membership signatures over them.
+covering conditions that the fixpoint cannot enforce.  For fb every round is
+one round of partition refinement over the disjoint union of the two
+automata, which re-keys only the predecessors of the states the round before
+moved once those are few.  For bfb each round after the first re-tests, row
+by row and column by column, only the witnesses that the round before
+removed.  Both return the paper's exact sequence of relations.  bb and fbb
+are fb and bfb on the reversed automata, which swap the initial and terminal
+vectors; their covering conditions are named and tested on A and B
+themselves.  The weak kinds read the finitely many reachable vector pairs
+instead, found by the one breadth-first subset search (``nerode._subsets``)
+that also determinizes: the weak forward kinds the terminal-vector pairs, the
+subsets of the reversed disjoint union A+B, and the weak backward kinds the
+initial-vector pairs, the subsets of A+B itself.  They compare the states'
+membership signatures over them.
 
 Condition names used in reports:
 
@@ -235,16 +237,6 @@ def _weak_conditions(kind, a, b, phi, inv):
     return conds + [(name, _COVER[name](a, b, phi)) for name in cover]
 
 
-# Reversal swaps the roles of the initial and terminal vectors, so condition
-# names from a dual run are mapped back to the original automata.
-_DUAL_NAME = {
-    "initial-forward": "terminal-forward",
-    "initial-backward": "terminal-backward",
-    "terminal-forward": "initial-forward",
-    "terminal-backward": "initial-backward",
-}
-
-
 def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
     """Test a nonempty relation against the defining conditions of a kind."""
     _require_same_alphabet(a, b)
@@ -440,31 +432,33 @@ def greatest_backward_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     )
 
 
-def _dualize(report: BisimReport, kind: BisimKind) -> BisimReport:
-    failure = report.failure
-    if failure is not None:
-        failure = tuple(_DUAL_NAME[name] for name in failure)
-    return BisimReport(
-        kind, report.relation, report.iterations, failure, report.flags
-    )
-
-
 def greatest_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Dual of the forward algorithm, run on the reversed automata."""
     ra = reverse(a)
-    rep = greatest_forward_bisim(ra, ra if b is a else reverse(b))
-    return _dualize(rep, BisimKind.BACKWARD_BISIM)
+    return _greatest(
+        BisimKind.BACKWARD_BISIM, a, b,
+        forward_bisim_steps(ra, ra if b is a else reverse(b)),
+        ("terminal-forward", "terminal-backward"),
+    )
 
 
 def greatest_forward_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
-    rep = greatest_backward_forward_bisim(reverse(a), reverse(b))
-    return _dualize(rep, BisimKind.FORWARD_BACKWARD_BISIM)
+    return _greatest(
+        BisimKind.FORWARD_BACKWARD_BISIM, a, b,
+        backward_forward_bisim_steps(reverse(a), reverse(b)),
+        ("initial-forward", "terminal-backward"),
+    )
 
 
 def _equivalence_of(report: BisimReport) -> Partition:
-    if report.relation is None:  # pragma: no cover - identity always qualifies
+    # The identity always qualifies and the fixpoint is an equivalence, so a
+    # failure here is a fault of the program, never of its input.
+    if report.relation is None:  # pragma: no cover
         raise AssertionError("self-bisimulation fixpoint was rejected")
-    return Partition.from_relation(report.relation)
+    try:
+        return Partition.from_relation(report.relation)
+    except ValueError as exc:
+        raise AssertionError(f"self-bisimulation fixpoint: {exc}") from exc
 
 
 def greatest_fb_equivalence(a: Nfa) -> Partition:

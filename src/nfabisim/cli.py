@@ -261,14 +261,9 @@ def parse_rel(text: str, source: str = "<string>") -> BoolRel:
     return BoolRel(rows, cols, masks)
 
 
-def _load_nfa(path: str) -> Nfa:
+def _load(path: str, parse):
     with open(path, encoding="utf-8") as handle:
-        return parse_nfa(handle.read(), source=path)
-
-
-def _load_rel(path: str) -> BoolRel:
-    with open(path, encoding="utf-8") as handle:
-        return parse_rel(handle.read(), source=path)
+        return parse(handle.read(), source=path)
 
 
 _GREATEST = {
@@ -283,8 +278,8 @@ _GREATEST = {
 
 
 def _cmd_bisim(args) -> int:
-    a = _load_nfa(args.left)
-    b = _load_nfa(args.right)
+    a = _load(args.left, parse_nfa)
+    b = _load(args.right, parse_nfa)
     report = _GREATEST[args.kind](a, b)
     if report.relation is None:
         print("NONE")
@@ -298,9 +293,9 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    a = _load_nfa(args.left)
-    b = _load_nfa(args.right)
-    phi = _load_rel(args.relation)
+    a = _load(args.left, parse_nfa)
+    b = _load(args.right, parse_nfa)
+    phi = _load(args.relation, parse_rel)
     result = check(BisimKind(args.kind), a, b, phi)
     for name, holds in result.conditions:
         print(f"{'PASS' if holds else 'FAIL'} {name}")
@@ -318,8 +313,8 @@ _EQUIV = {
 
 
 def _cmd_equiv(args) -> int:
-    a = _load_nfa(args.left)
-    b = _load_nfa(args.right)
+    a = _load(args.left, parse_nfa)
+    b = _load(args.right, parse_nfa)
     verdict = _EQUIV[args.mode](a, b)
     if verdict.equivalent:
         print("EQUIVALENT")
@@ -333,16 +328,22 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    a = _load_nfa(args.automaton)
+    a = _load(args.automaton, parse_nfa)
     sys.stdout.write(format_nfa(equivalence.reduce(a, args.mode)))
     return 0
 
 
 def _cmd_determinize(args) -> int:
-    a = _load_nfa(args.automaton)
+    a = _load(args.automaton, parse_nfa)
     dfa = reverse_nerode(a) if args.reverse else nerode(a)
     sys.stdout.write(format_dfa(dfa))
     return 0
+
+
+def _require_state_limit(n: int) -> None:
+    # Checked before random_nfa draws its n x n bits per symbol.
+    if n > MAX_STATES:
+        raise ValueError(f"state count {n} exceeds the limit of {MAX_STATES}")
 
 
 def _cmd_gen(args) -> int:
@@ -350,10 +351,7 @@ def _cmd_gen(args) -> int:
     problem = _alphabet_problem(symbols)
     if problem:
         raise ValueError(problem)
-    if args.states > MAX_STATES:
-        raise ValueError(
-            f"state count {args.states} exceeds the limit of {MAX_STATES}"
-        )
+    _require_state_limit(args.states)
     a = random_nfa(args.states, symbols, args.density, args.seed)
     sys.stdout.write(format_nfa(a))
     return 0
@@ -363,6 +361,7 @@ def _cmd_selftest(args) -> int:
     for option, value in (("--states", args.states), ("--trials", args.trials)):
         if value < 1:
             raise ValueError(f"{option} must be at least 1, got {value}")
+    _require_state_limit(args.states)
     return _selftest_mod.run(
         max_states=args.states,
         seed=args.seed,

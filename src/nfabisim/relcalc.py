@@ -41,6 +41,11 @@ def _bit_indices(mask):
         mask ^= low
 
 
+def _mask_of(bits) -> int:
+    """Mask with bit i set exactly when bits[i] is true."""
+    return sum(1 << i for i, bit in enumerate(bits) if bit)
+
+
 class BoolVec:
     """Subset of {0, ..., n-1} stored as a bit mask."""
 
@@ -57,11 +62,7 @@ class BoolVec:
     @classmethod
     def from_bits(cls, bits) -> "BoolVec":
         bits = list(bits)
-        mask = 0
-        for i, bit in enumerate(bits):
-            if bit:
-                mask |= 1 << i
-        return cls(len(bits), mask)
+        return cls(len(bits), _mask_of(bits))
 
     def __len__(self):
         return self.n
@@ -126,16 +127,9 @@ class BoolRel:
         if not bits:
             raise ValueError("relation dimensions must be positive")
         cols = len(bits[0])
-        masks = []
-        for row in bits:
-            if len(row) != cols:
-                raise ValueError("rows have unequal lengths")
-            mask = 0
-            for j, bit in enumerate(row):
-                if bit:
-                    mask |= 1 << j
-            masks.append(mask)
-        return cls(len(bits), cols, masks)
+        if any(len(row) != cols for row in bits):
+            raise ValueError("rows have unequal lengths")
+        return cls(len(bits), cols, map(_mask_of, bits))
 
     @classmethod
     def from_pairs(cls, rows: int, cols: int, pairs) -> "BoolRel":
@@ -212,23 +206,14 @@ def compose(r: BoolRel, s: BoolRel) -> BoolRel:
             f"dimension mismatch: cannot compose {r.rows}x{r.cols} "
             f"with {s.rows}x{s.cols}"
         )
-    out = []
-    for m in r.row_masks:
-        acc = 0
-        for b in _bit_indices(m):
-            acc |= s.row_masks[b]
-        out.append(acc)
-    return BoolRel(r.rows, s.cols, out)
+    return BoolRel(r.rows, s.cols, map(_unions(s.row_masks), r.row_masks))
 
 
 def vec_rel(alpha: BoolVec, r: BoolRel) -> BoolVec:
     """Image of a subset under a relation (alpha composed with r)."""
     if alpha.n != r.rows:
         raise ValueError(f"dimension mismatch: vector {alpha.n} vs {r.rows} rows")
-    acc = 0
-    for a in _bit_indices(alpha.mask):
-        acc |= r.row_masks[a]
-    return BoolVec(r.cols, acc)
+    return BoolVec(r.cols, _unions(r.row_masks)(alpha.mask))
 
 
 def rel_vec(r: BoolRel, beta: BoolVec) -> BoolVec:
@@ -245,7 +230,8 @@ def rel_vec(r: BoolRel, beta: BoolVec) -> BoolVec:
 def _unions(masks):
     """Union function of a mask list: a selector mask in, the union of
     masks[i] over the bits i set in it out; over a relation's row masks an
-    image (``vec_rel``), over its column masks a preimage (``rel_vec``).
+    image (``vec_rel``, and row by row ``compose``), over its column masks a
+    preimage (``rel_vec``).
 
     Each call takes the cheaper loop: one step per set bit, or one lookup per
     4 selector positions in 16-entry tables of unions (the method of Four

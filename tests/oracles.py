@@ -22,6 +22,12 @@ def compose_oracle(r: BoolRel, s: BoolRel) -> BoolRel:
     return BoolRel.from_bits(out)
 
 
+def image_oracle(r: BoolRel, selected: set) -> set:
+    """The columns that some selected row of r relates to."""
+    bits = r.bits()
+    return {b for a in selected for b in range(r.cols) if bits[a][b]}
+
+
 def arrow_right_oracle(eta: BoolVec, xi: BoolVec) -> BoolRel:
     return BoolRel.from_bits(
         [[1 if (not eta[a]) or xi[b] else 0 for b in range(xi.n)]

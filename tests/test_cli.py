@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nfabisim import automaton, cli, equivalence, selftest
+from nfabisim import automaton, bisim, cli, equivalence, selftest
 from nfabisim.automaton import factor, find_isomorphism, random_nfa
 from nfabisim.cli import (
     MAX_STATES,
@@ -369,6 +369,18 @@ def test_cmd_gen_over_the_state_limit_exits_2(capsys, n):
     )
 
 
+@pytest.mark.parametrize("n", [MAX_STATES + 1, 10**9])
+def test_cmd_selftest_over_the_state_limit_exits_2(capsys, n):
+    # Rejected before random_nfa draws its n x n bits per symbol.
+    code = main(["selftest", "--states", str(n), "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: state count {n} exceeds the limit of {MAX_STATES}\n"
+    )
+
+
 def test_cmd_selftest(capsys):
     code = main(["selftest", "--states", "3", "--seed", "2", "--trials", "5"])
     out = capsys.readouterr().out
@@ -547,6 +559,24 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
     assert captured.err.startswith("internal error: ")
     assert "decision paths disagree" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_fixpoint_that_is_no_equivalence_exits_3(monkeypatch, capsys):
+    # A greatest fb of an automaton with itself is an equivalence; when the
+    # fixpoint is not, the program is at fault, not the input.  Identity plus
+    # the pair (0, 1) covers every initial state but is not symmetric.
+    def skewed(a, b):
+        return [BoolRel(a.n, a.n, [0b11] + [1 << i for i in range(1, a.n)])]
+
+    monkeypatch.setattr(bisim, "forward_bisim_steps", skewed)
+    code = main(["reduce", "--mode", "fb", data("fwd_b.nfa")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: AssertionError('self-bisimulation fixpoint: "
+        "relation is not symmetric')\n"
+    )
 
 
 @pytest.mark.parametrize("mode, module, name, pair", [

@@ -44,6 +44,7 @@ from oracles import (
     arrow_right_oracle,
     compose_oracle,
     functional_descriptions_oracle,
+    image_oracle,
     join_oracle,
     kernel_oracle,
     quotient_partition_oracle,
@@ -142,10 +143,12 @@ def test_compose_matches_triple_loop_on_golden():
 
 
 def test_compose_matches_triple_loop_random():
+    # Rows of r are selectors over s's rows that take both loops of _unions.
     rng = random.Random(20)
-    for _ in range(50):
-        r = random_rel(rng, rng.randint(1, 5), rng.randint(1, 5))
-        s = random_rel(rng, r.cols, rng.randint(1, 5))
+    for width in (9, 12, 16, 17, 33, 64, 65):
+        rows = _selectors(rng, width)
+        r = BoolRel(len(rows), width, rows)
+        s = random_rel(rng, width, rng.randint(1, 65))
         assert compose(r, s) == compose_oracle(r, s)
 
 
@@ -260,7 +263,10 @@ def test_preimage_tables_and_string_transpose_match_rel_vec_and_inverse():
         image = _unions(r.row_masks)
         preimage = _unions(inverse(r).row_masks)
         for mask in _selectors(rng, rows):
-            assert image(mask) == vec_rel(BoolVec(rows, mask), r).mask
+            selected = {a for a in range(rows) if mask >> a & 1}
+            expected = sum(1 << b for b in image_oracle(r, selected))
+            assert image(mask) == expected
+            assert vec_rel(BoolVec(rows, mask), r).mask == expected
         for mask in _selectors(rng, cols):
             assert preimage(mask) == rel_vec(r, BoolVec(cols, mask)).mask
         assert _columns(r.row_masks, cols) == list(inverse(r).row_masks)
