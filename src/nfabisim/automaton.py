@@ -17,7 +17,7 @@ from .relcalc import (
     BoolVec,
     Partition,
     _bit_indices,
-    compose,
+    _unions,
     inverse,
     scalar,
     vec_rel,
@@ -144,34 +144,27 @@ def _sum(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
-def _map(targets, cols: int) -> BoolRel:
-    """0/1 state map sending row i to column targets[i] (a class id, or the
-    image of i under a permutation)."""
-    return BoolRel(len(targets), cols, [1 << t for t in targets])
+def _image(a: Nfa, targets, cols: int) -> Nfa:
+    """Image of a under the state map i -> targets[i] onto ``cols`` states:
+    each edge i -> j becomes targets[i] -> targets[j], and a state is initial
+    or terminal when a state mapped onto it is.  A class map gives the
+    quotient, and a bijection a relabelled copy."""
+    image = _unions([1 << t for t in targets])
+    delta = {}
+    for x, r in a.delta.items():
+        rows = [0] * cols
+        for t, m in zip(targets, r.row_masks):
+            rows[t] |= image(m)
+        delta[x] = BoolRel(cols, cols, rows)
+    return Nfa(cols, a.alphabet, delta, BoolVec(cols, image(a.sigma.mask)),
+               BoolVec(cols, image(a.tau.mask)))
 
 
-def _image(a: Nfa, m: BoolRel) -> Nfa:
-    """Automaton over the columns of a 0/1 state map m, with
-    delta'_x = m^-1 o delta_x o m, sigma' = sigma o m and tau' = tau o m.
-    A class map gives the quotient, and a bijection a relabelled copy."""
-    inv = inverse(m)
-    return Nfa(
-        m.cols,
-        a.alphabet,
-        {x: compose(inv, compose(r, m)) for x, r in a.delta.items()},
-        vec_rel(a.sigma, m),
-        vec_rel(a.tau, m),
-    )
-
-
-def _bijection(a: Nfa, b: Nfa, phi):
-    """State map of phi, or None unless phi is a bijection between the states
-    of two automata over the same alphabet set."""
-    if set(a.alphabet) != set(b.alphabet):
-        return None
-    if a.n != b.n or len(phi) != a.n or set(phi) != set(range(b.n)):
-        return None
-    return _map(phi, b.n)
+def _is_bijection(a: Nfa, b: Nfa, phi) -> bool:
+    """Whether phi is a bijection between the states of two automata over
+    the same alphabet set."""
+    return (set(a.alphabet) == set(b.alphabet) and a.n == b.n == len(phi)
+            and set(phi) == set(range(b.n)))
 
 
 def factor(a: Nfa, e: Partition) -> Nfa:
@@ -182,16 +175,15 @@ def factor(a: Nfa, e: Partition) -> Nfa:
     """
     if e.n != a.n:
         raise ValueError(f"partition covers {e.n} elements, automaton has {a.n}")
-    return _image(a, _map(e.class_of, e.num_classes))
+    return _image(a, e.class_of, e.num_classes)
 
 
 def is_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     """Definition check: phi is a state bijection preserving transitions,
     initial states, and terminal states."""
-    m = _bijection(a, b, phi)
-    if m is None:
+    if not _is_bijection(a, b, phi):
         return False
-    image = _image(a, m)
+    image = _image(a, phi, b.n)
     return (image.sigma, image.tau, image.delta) == (b.sigma, b.tau, b.delta)
 
 
@@ -200,7 +192,7 @@ def _index_lists(rel: BoolRel) -> list:
     return [list(_bit_indices(m)) for m in rel.row_masks]
 
 
-def _refine(block: list, tables):
+def _refine(block: list, tables, split=None):
     """Partition refinement round by round from integer block ids: yields
     ``(block, moved)`` after each round, the new list of block ids and the
     states whose id changed in that round.
@@ -220,12 +212,16 @@ def _refine(block: list, tables):
     only their predecessors (Valmari, 2010).  Any other state sees the blocks
     it saw before under the same ids, so the states of a block that were not
     keyed stay together, as one more piece of it, and apart from those that
-    were.  The predecessor lists and block members are built for the first
-    such round.
+    were.  The predecessor lists are built for the first such round, and
+    the block members for the first that keys a state.
+
+    ``split``, when given, lists states just moved to fresh ids out of a
+    stable colouring, states sharing an id out of one block; the first round
+    then keys only their predecessors (McKay & Piperno, 2014).
     """
     n = len(block)
     fresh = max(block) + 1
-    preds = members = split = None
+    preds = members = None
     while True:
         if split is None:
             # Every state's key at C speed.  A key is numbered by the state
@@ -254,14 +250,14 @@ def _refine(block: list, tables):
                     for i, targets in enumerate(t):
                         for j in targets:
                             preds[j].append(i)
-            if members is None:
-                members = [set() for _ in range(fresh)]
-                for i, b in enumerate(block):
-                    members[b].add(i)
             touched = set()
             for j in split:
                 touched.update(preds[j])
             touched = list(touched)
+            if members is None and touched:
+                members = [set() for _ in range(fresh)]
+                for i, b in enumerate(block):
+                    members[b].add(i)
             sets = [[frozenset(map(block.__getitem__, t[i])) for i in touched] for t in tables]
             groups = {}
             for i, key in zip(touched, zip(map(block.__getitem__, touched), *sets)):
@@ -296,24 +292,16 @@ def _refine(block: list, tables):
         block = new
 
 
-def _balanced_refine(block: list, tables, n: int):
+def _balanced_refine(block: list, tables, n: int, split=None):
     """The stable colouring ``_refine`` reaches from block over A+B, or None
-    once a colour holds unequal numbers of A and B states."""
-    # Per colour, its A states minus its B states.  A round changes it only
-    # for the states it moved, so it is checked in full once, before round 1.
-    balance = Counter(block[:n])
-    balance.subtract(block[n:])
-    if any(balance.values()):
-        return None
-    for new, moved in _refine(block, tables):
-        for i in moved:
-            step = 1 if i < n else -1
-            balance[block[i]] -= step
-            balance[new[i]] += step
-        if any(balance[block[i]] or balance[new[i]] for i in moved):
-            return None
-        block = new
-    return block
+    when a colour of it holds unequal numbers of A and B states.  No round
+    before needs the check: refinement only splits colours, and the pieces
+    of a colour with unequal A and B counts add up to those counts, so one
+    of them is unequal as well.
+    """
+    for block, _ in _refine(block, tables, split):
+        pass
+    return block if sorted(block[:n]) == sorted(block[n:]) else None
 
 
 def find_isomorphism(a: Nfa, b: Nfa):
@@ -327,10 +315,11 @@ def find_isomorphism(a: Nfa, b: Nfa):
     isomorphism: a stable colouring preserves every edge and both boundary
     bits.  Otherwise the least A state i in a larger colour takes a fresh
     colour with each B state of its colour in turn, in increasing order, and
-    the colours are refined again (McKay & Piperno, 2014).  The search
-    backtracks only over these choices.  Every A state below i has one
-    possible image, so the first bijection found is the least.  The search
-    keeps its own stack, so its depth is not bounded by the recursion limit.
+    the colours are refined again, keying first only the pair's neighbours
+    (McKay & Piperno, 2014).  The search backtracks only over these choices.
+    Every A state below i has one possible image, so the first bijection
+    found is the least.  The search keeps its own stack, so its depth is not
+    bounded by the recursion limit.
     """
     _require_same_alphabet(a, b)
     if a.n != b.n:
@@ -341,30 +330,28 @@ def find_isomorphism(a: Nfa, b: Nfa):
               for r in (s.delta[x], inverse(s.delta[x]))]
     start = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
     # Colourings still to refine, each with the pair of states that take a
-    # fresh colour in it.  Siblings go on largest image first, so their
-    # images come off in increasing order.
-    stack = [(start, ())]
+    # fresh colour in it, None for the first.  Siblings go on largest image
+    # first, so their images come off in increasing order.
+    stack = [(start, None)]
     while stack:
         block, pair = stack.pop()
         if pair:
             block = block.copy()
             block[pair[0]] = block[pair[1]] = max(block) + 1
-        block = _balanced_refine(block, tables, n)
+        block = _balanced_refine(block, tables, n, pair)
         if block is None:
             continue
-        # A colour's members in increasing order: its A states, then as
-        # many B states.
-        members = {}
-        for i, c in enumerate(block):
-            members.setdefault(c, []).append(i)
-        i = next((i for i in range(n) if len(members[block[i]]) > 2), None)
+        size = Counter(block)
+        i = next((i for i in range(n) if size[block[i]] > 2), None)
         if i is None:
-            phi = tuple(members[c][1] - n for c in block[:n])
+            # Each colour holds one A state and one B state.
+            image = dict(zip(block[n:], range(n)))
+            phi = tuple(map(image.__getitem__, block[:n]))
             if not is_isomorphism(a, b, phi):
                 raise AssertionError("isomorphism search produced an invalid mapping")
             return phi
-        cell = members[block[i]]
-        stack += [(block, (i, j)) for j in reversed(cell[len(cell) // 2:])]
+        cell = [j for j in range(n, 2 * n) if block[j] == block[i]]
+        stack += [(block, (i, j)) for j in reversed(cell)]
     return None
 
 

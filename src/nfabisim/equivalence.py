@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .automaton import (
     Nfa,
-    _bijection,
+    _is_bijection,
     _require_same_alphabet,
     _sum,
     accepts,
@@ -215,10 +215,9 @@ def weak_forward_isomorphism(a: Nfa, b: Nfa):
 
 def is_weak_forward_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     """Definition check for weak forward isomorphisms."""
-    m = _bijection(a, b, phi)
-    if m is None:
+    if not _is_bijection(a, b, phi):
         return False
-    image = _unions(m.row_masks)
+    image = _unions([1 << t for t in phi])
     return image(a.sigma.mask) == b.sigma.mask and all(
         image(ta.mask) == tb.mask for ta, tb in reachable_terminal_pairs(a, b)
     )

@@ -235,17 +235,22 @@ def _unions(masks):
 
     Each call takes the cheaper loop: one step per set bit, or one lookup per
     4 selector positions in 16-entry tables of unions (the method of Four
-    Russians, 1970), built by the first call that needs them.  A bit step
-    costs about 1.5 lookups, so bits win up to two thirds of the lookups.
+    Russians, 1970).  A bit step costs about 1.5 lookups, so bits win up to
+    two thirds of the lookups.  The tables are built by the second call that
+    needs them: one union, as in ``vec_rel``, does not repay them.
     """
-    tables = []
+    tables = None
 
     def union_of(sel: int) -> int:
+        nonlocal tables
         count = sel.bit_count()
         if count == 1:
             return masks[sel.bit_length() - 1]
         acc = 0
-        if 3 * count <= 2 * (sel.bit_length() + 3 >> 2):
+        sparse = 3 * count <= 2 * (sel.bit_length() + 3 >> 2)
+        if sparse or tables is None:
+            if not sparse:
+                tables = []
             while sel:
                 low = sel & -sel
                 acc |= masks[low.bit_length() - 1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import sys
 
-from .automaton import _map, factor, random_nfa, reverse
+from .automaton import factor, random_nfa, reverse
 from .bisim import (
     BisimKind,
     check,
@@ -86,7 +86,7 @@ def _check_uniform_theorems(a, problems):
     the forward and backward-forward checks of a function must agree."""
     e = greatest_fb_equivalence(a)
     q = factor(a, e)
-    nat = _map(e.class_of, q.n)
+    nat = BoolRel(a.n, q.n, [1 << c for c in e.class_of])
     try:
         for kind, crosscheck in (
             ("fb", uniform_fb_crosscheck), ("bfb", uniform_bfb_crosscheck)

@@ -145,13 +145,6 @@ def delta_word_oracle(a: Nfa, u) -> BoolRel:
     return BoolRel.from_pairs(a.n, a.n, pairs)
 
 
-def accepts_oracle(a: Nfa, word) -> bool:
-    current = _members(a.sigma)
-    for x in word:
-        current = step_states(a, current, x)
-    return bool(current & _members(a.tau))
-
-
 def language_oracle(a: Nfa, maxlen: int) -> list:
     """Every accepted word of length <= maxlen, in length-then-lex order,
     each simulated from the initial states on its own."""
@@ -482,6 +475,20 @@ def weak_oracle(kind: str, a: Nfa, b: Nfa) -> tuple:
     if failure:
         return pairs, None, failure
     return pairs, BoolRel.from_pairs(a.n, b.n, related), None
+
+
+def weak_isomorphism_oracle(a: Nfa, b: Nfa, phi) -> bool:
+    """Whether phi maps the states of A one-to-one onto those of B, carrying
+    A's initial states onto B's and, for every word u, tau_u of A onto tau_u
+    of B: each pair of ``weak_oracle`` onto its partner."""
+    if set(a.alphabet) != set(b.alphabet) or a.n != b.n:
+        return False
+    if sorted(phi) != list(range(b.n)):
+        return False
+    pairs = weak_oracle("wfs", a, b)[0]
+    return {phi[p] for p in _members(a.sigma)} == _members(b.sigma) and all(
+        {phi[p] for p in s} == t for s, t in pairs
+    )
 
 
 def reverse_oracle(a: Nfa) -> Nfa:

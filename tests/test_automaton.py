@@ -21,6 +21,7 @@ from nfabisim.automaton import (
     sigma_u,
 )
 from nfabisim.bisim import BisimKind, check, greatest_fb_equivalence, greatest_forward_bisim
+from nfabisim.equivalence import is_weak_forward_isomorphism
 from nfabisim.relcalc import (
     BoolRel,
     BoolVec,
@@ -52,6 +53,7 @@ from oracles import (
     refine_oracle,
     refines_oracle,
     subautomaton_oracle,
+    weak_isomorphism_oracle,
 )
 
 
@@ -348,11 +350,30 @@ def _least_isomorphism(a, b):
     )
 
 
+def _near_copies(rng, b):
+    """Three automata that differ from b in one bit each: an initial bit, a
+    terminal bit and an edge."""
+    n = b.n
+    q, x = rng.randrange(n), rng.choice(b.alphabet)
+    bit = 1 << q
+    rows = list(b.delta[x].row_masks)
+    rows[q] ^= 1 << rng.randrange(n)
+    moved = {**b.delta, x: BoolRel(n, n, rows)}
+    return [
+        Nfa(n, b.alphabet, b.delta, BoolVec(n, b.sigma.mask ^ bit), b.tau),
+        Nfa(n, b.alphabet, b.delta, b.sigma, BoolVec(n, b.tau.mask ^ bit)),
+        Nfa(n, b.alphabet, moved, b.sigma, b.tau),
+    ]
+
+
 def test_find_isomorphism_is_least_among_all_bijections(monkeypatch):
     # Unions of equal cycles or of equal other components leave states of
     # one colour in several components, so the search has to individualize
     # and back out of images at the wrong distance or in the wrong component.
+    # One-bit near-copies of b have its size but need not be isomorphic to
+    # a, so the balance of the stable colouring has to rule them out.
     rng = random.Random(7)
+    pairs = []
     for trial in range(60):
         n = rng.randint(2, 7)
         if trial % 2:
@@ -360,16 +381,22 @@ def test_find_isomorphism_is_least_among_all_bijections(monkeypatch):
         else:
             k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
             a = _relabel(_cycle_union(*[k] * (n // k)), rng.sample(range(n), n))
-        b = _relabel(a, rng.sample(range(n), n))
-        assert find_isomorphism(a, b) == _least_isomorphism(a, b)
+        pairs.append((a, _relabel(a, rng.sample(range(n), n))))
     for _ in range(30):
         n = rng.randint(2, 7)
         k = rng.choice([d for d in range(1, n) if n % d == 0])
         alphabet = rng.choice([("x",), ("x", "y")])
         c = random_nfa(k, alphabet, 0.4, rng.randrange(1 << 30))
         a = _relabel(_copies(c, n // k), rng.sample(range(n), n))
-        b = _relabel(a, rng.sample(range(n), n))
-        assert find_isomorphism(a, b) == _least_isomorphism(a, b)
+        pairs.append((a, _relabel(a, rng.sample(range(n), n))))
+    flips = random.Random(8)
+    refuted = 0
+    for a, b in pairs:
+        for d in [b] + _near_copies(flips, b):
+            expected = _least_isomorphism(a, d)
+            assert find_isomorphism(a, d) == expected
+            refuted += expected is None
+    assert refuted > 100
 
     # Colour refinement cannot tell cycles of one length from another.  A's
     # state 0 lies on its 4-cycle.  Against a 2-cycle and a 4-cycle, its
@@ -482,12 +509,12 @@ def test_find_isomorphism_rejects_colours_that_part_late():
 # --- the refinement engine against naive rounds ------------------------------
 
 
-def _refine_rounds(block, tables):
+def _refine_rounds(block, tables, split=None):
     """``_refine``'s rounds as sets of blocks.  Along the way it checks what
     callers read besides the partition: ``moved`` lists exactly the states
     whose id changed, and a split block leaves its id to a largest piece."""
     rounds, prev = [], block
-    for new, moved in _refine(block, tables):
+    for new, moved in _refine(block, tables, split):
         assert sorted(moved) == [i for i, (p, q) in enumerate(zip(prev, new)) if p != q]
         pieces = Counter(zip(prev, new))
         assert all(pieces[p, p] >= size for (p, _), size in pieces.items())
@@ -556,13 +583,24 @@ def _refine_inputs(draw):
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(_refine_inputs())
-@example(_cycles(30, 30, 20, 40))
-@example(_stars())
-@example(([0, 0, 1], [[[], [], []]]))
-def test_refine_rounds_are_the_naive_rounds(inputs):
+@given(_refine_inputs(), st.integers(0, 255))
+@example(_cycles(30, 30, 20, 40), 30)
+@example(_stars(), 0)
+@example(([0, 0, 1], [[[], [], []]]), 3)
+def test_refine_rounds_are_the_naive_rounds(inputs, pick):
     block, tables = inputs
     assert _refine_rounds(block, tables) == refine_oracle(block, tables)
+    # Restarted, as find_isomorphism restarts after individualizing, from
+    # the stable colouring with one state, or two states of one block, moved
+    # to a fresh id: the first round keys only their predecessors.
+    for stable, _ in _refine(block, tables):
+        pass
+    n = len(block)
+    i = pick % n
+    cell = [j for j in range(n) if stable[j] == stable[i]]
+    split = sorted({i, cell[pick // n % len(cell)]})
+    recoloured = [max(stable) + 1 if j in split else c for j, c in enumerate(stable)]
+    assert _refine_rounds(recoloured, tables, split) == refine_oracle(recoloured, tables)
 
 
 def _counting(tables):
@@ -612,13 +650,13 @@ def test_is_isomorphism_rejects_non_bijections():
 
 
 def test_state_map_images_match_the_definitions():
-    # factor and is_isomorphism against set-based oracles that share no
-    # code with them: random partitions, then
-    # every permutation onto the automaton itself, onto a relabelled copy,
-    # onto that copy with its alphabet declared in another order and onto
-    # one-bit near-copies of it, and last a few non-bijections
+    # factor, is_isomorphism and is_weak_forward_isomorphism against
+    # set-based oracles that share no code with them: random partitions,
+    # then every permutation onto the automaton itself, onto a relabelled
+    # copy, onto that copy with its alphabet declared in another order and
+    # onto one-bit near-copies of it, and last a few non-bijections
     rng = random.Random(2024)
-    positives = 0
+    positives = weak_only = 0
     for _ in range(40):
         n = rng.randint(1, 5)
         alphabet = ("x", "y", "z")[: rng.randint(1, 3)]
@@ -630,22 +668,14 @@ def test_state_map_images_match_the_definitions():
         perm = tuple(rng.sample(range(n), n))
         copy = _relabel(a, perm)
         shuffled = Nfa(n, alphabet[::-1], copy.delta, copy.sigma, copy.tau)
-        # near-copies that differ from the relabelled copy in one bit each
-        q, x = rng.randrange(n), rng.choice(alphabet)
-        bit = 1 << q
-        rows = list(copy.delta[x].row_masks)
-        rows[q] ^= 1 << rng.randrange(n)
-        moved = {**copy.delta, x: BoolRel(n, n, rows)}
-        near = [
-            Nfa(n, alphabet, copy.delta, BoolVec(n, copy.sigma.mask ^ bit), copy.tau),
-            Nfa(n, alphabet, copy.delta, copy.sigma, BoolVec(n, copy.tau.mask ^ bit)),
-            Nfa(n, alphabet, moved, copy.sigma, copy.tau),
-        ]
-        for b in [a, copy, shuffled] + near:
+        for b in [a, copy, shuffled] + _near_copies(rng, copy):
             for phi in itertools.permutations(range(n)):
                 expected = isomorphism_oracle(a, b, phi)
                 assert is_isomorphism(a, b, phi) == expected
                 positives += expected
+                weak = weak_isomorphism_oracle(a, b, phi)
+                assert is_weak_forward_isomorphism(a, b, phi) == weak
+                weak_only += weak and not expected
         assert is_isomorphism(a, shuffled, perm)
         broken = [perm[:-1], perm + (0,), perm[:-1] + (n,)]
         if n > 1:
@@ -653,10 +683,15 @@ def test_state_map_images_match_the_definitions():
         for phi in broken:
             assert not isomorphism_oracle(a, copy, phi)
             assert not is_isomorphism(a, copy, phi)
+            assert not weak_isomorphism_oracle(a, copy, phi)
+            assert not is_weak_forward_isomorphism(a, copy, phi)
         other = Nfa(n, ("w",), {"w": BoolRel(n, n, [0] * n)}, a.sigma, a.tau)
         assert not is_isomorphism(a, other, perm)
         assert not isomorphism_oracle(a, other, perm)
+        assert not is_weak_forward_isomorphism(a, other, perm)
+        assert not weak_isomorphism_oracle(a, other, perm)
     assert positives > 100
+    assert weak_only > 50
 
 
 # --- random generation --------------------------------------------------------------
