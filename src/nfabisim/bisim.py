@@ -262,16 +262,16 @@ def _lost_witnesses(lines, removed, top, sides) -> dict:
     is None in round 0, where every line is checked in full.  Otherwise only
     the lines i that select a removed line u are checked, and only for the
     states those removals took out of U(i): ``lost & ~U(i)``."""
+    union = _unions(lines)
+    if removed is None:
+        lost = {i: top for i, m in enumerate(lines) if m}
     out = {}
     for select, selected_by, fails_on in sides:
-        if removed is None:
-            lost = {i: top for i, m in enumerate(lines) if m}
-        else:
+        if removed is not None:
             lost = {}
             for u, m in removed.items():
                 for i in selected_by[u]:
                     lost[i] = lost.get(i, 0) | m
-        union = _unions(lines)
         for i, m in lost.items():
             miss = m & ~union(select[i])
             if miss:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import compress
 
 from . import equivalence
 from .automaton import Nfa, random_nfa
@@ -44,7 +45,7 @@ from .bisim import (
     greatest_weak_forward_sim,
 )
 from .nerode import Dfa, nerode, reverse_nerode
-from .relcalc import BoolRel
+from .relcalc import BoolRel, _bit_indices
 from . import selftest as _selftest_mod
 
 __all__ = [
@@ -219,18 +220,28 @@ def format_nfa(a: Nfa) -> str:
 
 def format_dfa(d: Dfa) -> str:
     """Deterministic automaton in the automaton format, each state carrying
-    a ``subset:`` comment naming the source states it stands for."""
+    a ``subset:`` comment naming the source states it stands for.
+
+    Every number is looked up in one list of names, so no member is
+    converted with ``str`` again.  A subset with fewer members than an
+    eighth of the source states lists them bit by bit; a denser one is read
+    off its binary digits, one flag byte per digit, by ``compress``.
+    """
+    n = d.subset_of[0].n
+    names = list(map(str, range(max(d.m, n))))
+    flags = bytes.maketrans(b"01", b"\0\1")
     out = [f"states {d.m}"]
     out.append("alphabet " + " ".join(d.alphabet))
     out.append(f"initial {d.start}")
-    out.append(
-        "terminal" + "".join(f" {q}" for q in range(d.m) if d.final[q])
-    )
-    for q in range(d.m):
-        members = " ".join(str(i) for i in d.subset_of[q].indices()) or "(empty)"
-        out.append(f"# subset: {q} = {members}")
-    for k, x in enumerate(d.alphabet):
-        out.append(f"{x}:" + "".join(f" {q}->{d.next[q][k]}" for q in range(d.m)))
+    out.append("terminal" + "".join(map(" {}".format, compress(names, d.final))))
+    for q, v in enumerate(d.subset_of):
+        if 8 * v.mask.bit_count() < n:
+            members = [names[i] for i in _bit_indices(v.mask)]
+        else:
+            members = compress(names, f"{v.mask:b}"[::-1].encode().translate(flags))
+        out.append(f"# subset: {q} = {' '.join(members) or '(empty)'}")
+    for x, column in zip(d.alphabet, zip(*d.next)):
+        out.append(f"{x}:" + "".join(map(" {}->{}".format, names, column)))
     return "\n".join(out) + "\n"
 
 

@@ -53,21 +53,31 @@ def _subsets(a: Nfa):
     """Breadth-first search over the subsets sigma_u of a, for all words u.
 
     The search starts from sigma and closes it under appending one symbol,
-    in a's alphabet order, each step a ``_unions`` of the successor masks.
-    It yields each distinct subset once, as a mask, with its row: entry k is
-    the index of the subset its k-th symbol leads to, indices counting
+    in a's alphabet order.  Each state's successor masks for all k symbols
+    are packed into one int, symbol t at bit offset t * n, so one
+    ``_unions`` over the packed rows steps a subset by every symbol at once,
+    and a shift and a mask cut the image into its k successor subsets.  It
+    yields each distinct subset once, as a mask, with its row: entry t is
+    the index of the subset its t-th symbol leads to, indices counting
     subsets in the order they are yielded.  So the q-th subset is first
     reached through its length-lex-least word.  On ``reverse(a)`` the
     subsets are the terminal vectors tau_u of a.
     """
-    steps = [_unions(a.delta[x].row_masks) for x in a.alphabet]
+    n = a.n
+    offsets = range(0, n * len(a.alphabet), n)
+    packed = a.delta[a.alphabet[0]].row_masks
+    for offset, x in zip(offsets[1:], a.alphabet[1:]):
+        packed = [p | m << offset for p, m in zip(packed, a.delta[x].row_masks)]
+    step = _unions(packed)
+    top = (1 << n) - 1
     index = {a.sigma.mask: 0}
     order = [a.sigma.mask]
     # The list doubles as the queue: iteration reaches every appended mask.
     for mask in order:
+        image = step(mask)
         row = []
-        for step in steps:
-            nxt = step(mask)
+        for offset in offsets:
+            nxt = image >> offset & top
             q = index.get(nxt)
             if q is None:
                 q = index[nxt] = len(order)

@@ -231,7 +231,8 @@ def _unions(masks):
     """Union function of a mask list: a selector mask in, the union of
     masks[i] over the bits i set in it out; over a relation's row masks an
     image (``vec_rel``, and row by row ``compose``), over its column masks a
-    preimage (``rel_vec``).
+    preimage, and over each state's successor masks packed for all symbols
+    (``nerode._subsets``) the successors by every symbol at once.
 
     Each call takes the cheaper loop: one step per set bit, or one lookup per
     4 selector positions in 16-entry tables of unions (the method of Four

@@ -185,6 +185,23 @@ def subsets_oracle(a: Nfa) -> list:
     return out
 
 
+def format_dfa_oracle(d) -> str:
+    """The text ``cli.format_dfa`` must print, by the definition: header
+    lines, one ``# subset:`` comment per state listing its members in
+    increasing order (``(empty)`` for none), then one transition line per
+    symbol."""
+    lines = [f"states {d.m}", "alphabet " + " ".join(d.alphabet),
+             f"initial {d.start}",
+             "terminal" + "".join(f" {q}" for q in range(d.m) if d.final[q])]
+    for q, v in enumerate(d.subset_of):
+        members = sorted(_members(v))
+        text = " ".join(str(i) for i in members) if members else "(empty)"
+        lines.append(f"# subset: {q} = {text}")
+    for k, x in enumerate(d.alphabet):
+        lines.append(f"{x}:" + "".join(f" {q}->{row[k]}" for q, row in enumerate(d.next)))
+    return "\n".join(lines) + "\n"
+
+
 def right_language_oracle(a: Nfa, state: int, depth: int) -> set:
     """Words of length <= depth that can reach a terminal state from state."""
     out = set()

@@ -17,11 +17,11 @@ from nfabisim.cli import (
     parse_nfa,
     parse_rel,
 )
-from nfabisim.nerode import Dfa, nerode
-from nfabisim.relcalc import BoolRel, Partition
+from nfabisim.nerode import Dfa, nerode, reverse_nerode
+from nfabisim.relcalc import BoolRel, BoolVec, Partition
 
 from goldens import FWD_PHI2, GOLDEN_AUTOMATA
-from oracles import language_oracle
+from oracles import format_dfa_oracle, language_oracle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -125,6 +125,30 @@ def test_format_dfa_parses_back_and_annotates():
     assert "# subset: 2 = (empty)" in text
     parsed = parse_nfa(text)
     assert parsed.n == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 64, 65])
+def test_format_dfa_matches_the_set_based_printer(n):
+    # Empty, full, single-state and random subsets, on both sides of the
+    # eighth-of-n density at which the printer switches from set bits to
+    # binary digits, in DFAs with more states than the source automaton and
+    # with fewer; then the subset constructions of random automata.
+    rng = random.Random(n)
+    masks = [0, (1 << n) - 1, *(1 << i for i in range(n))]
+    masks = list(dict.fromkeys(masks + [rng.getrandbits(n) for _ in range(n)]))
+    dfas = []
+    for m in (len(masks), max(1, n // 2)):
+        dfas.append(Dfa(
+            m, ("x", "y"),
+            [[rng.randrange(m), rng.randrange(m)] for _ in range(m)],
+            rng.randrange(m),
+            [rng.random() < 0.5 for _ in range(m)],
+            [BoolVec(n, mask) for mask in masks[:m]],
+        ))
+    a = random_nfa(n, ("x", "y", "z"), min(0.4, 3 / n), rng.randrange(1 << 30))
+    dfas += [nerode(a), reverse_nerode(a)]
+    for d in dfas:
+        assert format_dfa(d) == format_dfa_oracle(d)
 
 
 # --- subcommands ------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_reverse_nerode_golden():
 def _automaton(n, pairs, initial, terminal):
     return Nfa(
         n,
-        ("a", "b"),
+        tuple(pairs),
         {x: BoolRel.from_pairs(n, n, p) for x, p in pairs.items()},
         [int(q in initial) for q in range(n)],
         [int(q in terminal) for q in range(n)],
@@ -119,10 +119,10 @@ def _ring_copies(rng, n, k):
     return _automaton(n * k, pairs, {r[0] for r in at}, {r[0] for r in at})
 
 
-def _pooled(rng, n, degree, pool):
+def _pooled(rng, n, degree, pool, alphabet="ab"):
     """Each successor set, per symbol, one of ``pool`` random sets."""
     pairs = {}
-    for x in ("a", "b"):
+    for x in alphabet:
         sets = [rng.sample(range(n), min(degree, n)) for _ in range(pool)]
         pairs[x] = [(q, t) for q in range(n) for t in sets[rng.randrange(pool)]]
     return _automaton(n, pairs, set(rng.sample(range(n), 1 + n // 8)),
@@ -147,16 +147,25 @@ def _as_oracle_rows(dfa):
     ]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 17, 65])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 17, 21, 64, 65])
 def test_subset_constructions_match_the_oracle(n):
     # Subset labels, numbering, rows and finals of both constructions, and
     # the order of the terminal-vector pairs, against the set-based search.
-    # 9, 17 and 65 states end in a partial 4-column chunk.
+    # 9, 17 and 65 states end in a partial 4-column chunk.  The search packs
+    # the k successor masks of a state into one int of k * n bits, so 1, 3
+    # and 5 symbols are searched too; with 3 symbols 21, 64 and 65 states
+    # take 63, 192 and 195 bits, and the 3-symbol pair puts 2n states on
+    # each step of the terminal-vector search.
     rng = random.Random(71 + n)
+    density = min(0.4, 3 / n)
     automata = _shapes(n) + [
-        random_nfa(n, ("x", "y"), min(0.4, 3 / n), rng.randrange(1 << 30))
+        random_nfa(n, ("x", "y"), density, rng.randrange(1 << 30))
         for _ in range(2)
     ]
+    no_initial = random_nfa(n, tuple("abc"), density, rng.randrange(1 << 30))
+    no_initial = Nfa(n, no_initial.alphabet, no_initial.delta, [0] * n, no_initial.tau)
+    automata += [_pooled(rng, n, 3, 4, "abc"), no_initial,
+                 _pooled(rng, n, 2, 3, "abcde"), _pooled(rng, n, 3, 4, "a")]
     if n == 4:
         automata += [WEAK_A]
     if n == 3:
