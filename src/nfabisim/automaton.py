@@ -55,7 +55,7 @@ class Nfa:
     """Nondeterministic automaton: per-symbol transition relations plus
     initial and terminal state vectors."""
 
-    __slots__ = ("n", "alphabet", "delta", "sigma", "tau")
+    __slots__ = ("n", "alphabet", "delta", "sigma", "tau", "_reversal")
 
     def __init__(self, n: int, alphabet, delta, sigma, tau):
         if n < 1:
@@ -72,6 +72,7 @@ class Nfa:
         self.delta = {x: _as_rel(delta[x], n) for x in alphabet}
         self.sigma = _as_vec(sigma, n)
         self.tau = _as_vec(tau, n)
+        self._reversal = None
 
     def word(self, u) -> tuple:
         """Normalize a word and reject symbols outside the alphabet."""
@@ -115,14 +116,15 @@ def accepts(a: Nfa, u) -> bool:
 
 
 def reverse(a: Nfa) -> Nfa:
-    """Flip every transition and swap initial with terminal states."""
-    return Nfa(
-        a.n,
-        a.alphabet,
-        {x: inverse(r) for x, r in a.delta.items()},
-        a.tau,
-        a.sigma,
-    )
+    """Flip every transition and swap initial with terminal states.  The
+    only place where transitions are inverted, once per automaton: an
+    automaton and its reversal keep each other, so ``reverse(reverse(a))``
+    is ``a`` and the predecessors by x are ``reverse(a).delta[x]``."""
+    if a._reversal is None:
+        r = Nfa(a.n, a.alphabet, {x: inverse(d) for x, d in a.delta.items()},
+                a.tau, a.sigma)
+        a._reversal, r._reversal = r, a
+    return a._reversal
 
 
 def _sum(a: Nfa, b: Nfa) -> Nfa:
@@ -327,7 +329,7 @@ def find_isomorphism(a: Nfa, b: Nfa):
     n = a.n
     s = _sum(a, b)
     tables = [_index_lists(r) for x in s.alphabet
-              for r in (s.delta[x], inverse(s.delta[x]))]
+              for r in (s.delta[x], reverse(s).delta[x])]
     start = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
     # Colourings still to refine, each with the pair of states that take a
     # fresh colour in it, None for the first.  Siblings go on largest image

@@ -197,7 +197,9 @@ _HALVES = {
 
 
 def _reversed_sum(a: Nfa, b: Nfa) -> Nfa:
-    return reverse(_sum(a, b))
+    """reverse(A+B), built as the sum of the reversals, which ``reverse``
+    keeps with A and B."""
+    return _sum(reverse(a), reverse(b))
 
 
 # Per weak kind: the automaton whose subsets are its vector pairs (the
@@ -333,9 +335,10 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     # successors and fail at B's preimages; columns select by B's
     # predecessors and fail at A's images.
     row_sides, col_sides = [], []
+    back_a, back_b = reverse(a), reverse(b)
     for x in a.alphabet:
         fa, fb = a.delta[x], b.delta[x]
-        ra, rb = inverse(fa), inverse(fb)
+        ra, rb = back_a.delta[x], back_b.delta[x]
         row_sides.append((fa.row_masks, _index_lists(ra), _unions(rb.row_masks)))
         col_sides.append((rb.row_masks, _index_lists(fb), _unions(fa.row_masks)))
     top_a, top_b = (1 << a.n) - 1, (1 << b.n) - 1
@@ -434,10 +437,9 @@ def greatest_backward_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
 
 def greatest_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Dual of the forward algorithm, run on the reversed automata."""
-    ra = reverse(a)
     return _greatest(
         BisimKind.BACKWARD_BISIM, a, b,
-        forward_bisim_steps(ra, ra if b is a else reverse(b)),
+        forward_bisim_steps(reverse(a), reverse(b)),
         ("terminal-forward", "terminal-backward"),
     )
 

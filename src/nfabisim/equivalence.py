@@ -20,10 +20,10 @@ from .automaton import (
     factor,
     find_isomorphism,
     is_isomorphism,
-    reverse,
 )
 from .bisim import (
     BisimKind,
+    _reversed_sum,
     _signatures,
     check,
     greatest_bb_equivalence,
@@ -181,9 +181,9 @@ def language_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
 def _weak_signatures(a: Nfa, b: Nfa):
     """Per-state membership signatures over sigma and the reachable
     terminal vectors: bit 0 for sigma and bit k + 1 for the k-th pair."""
-    c = _sum(a, b)
-    sig = _signatures(reverse(c))[1]
-    sig = [s << 1 | c.sigma.mask >> i & 1 for i, s in enumerate(sig)]
+    c = _reversed_sum(a, b)
+    sig = _signatures(c)[1]
+    sig = [s << 1 | c.tau.mask >> i & 1 for i, s in enumerate(sig)]
     return sig[:a.n], sig[a.n:]
 
 

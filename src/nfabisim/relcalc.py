@@ -238,7 +238,9 @@ def _unions(masks):
     4 selector positions in 16-entry tables of unions (the method of Four
     Russians, 1970).  A bit step costs about 1.5 lookups, so bits win up to
     two thirds of the lookups.  The tables are built by the second call that
-    needs them: one union, as in ``vec_rel``, does not repay them.
+    needs them: one union, as in ``vec_rel``, does not repay them.  The table
+    loop reads the selector's bytes, each through a pair of tables, and
+    skips the zero bytes, so it never shifts the selector.
     """
     tables = None
 
@@ -258,16 +260,19 @@ def _unions(masks):
                 sel ^= low
             return acc
         if not tables:
+            nibbles = []
             for c in range(0, len(masks), 4):
                 table = [0]
                 for m in masks[c:c + 4]:
                     table += [t | m for t in table]
-                tables.append(table)
-        for table in tables:
-            if not sel:
-                break
-            acc |= table[sel & 15]
-            sel >>= 4
+                nibbles.append(table)
+            # Byte k reads tables 2k and 2k + 1.  An odd last table pairs
+            # with [0]: the top nibble of the last byte is then zero.
+            tables = list(zip(nibbles[::2], nibbles[1::2] + [[0]]))
+        data = sel.to_bytes(sel.bit_length() + 7 >> 3, "little")
+        for (low, high), byte in zip(tables, data):
+            if byte:
+                acc |= low[byte & 15] | high[byte >> 4]
         return acc
 
     return union_of
@@ -291,10 +296,12 @@ def inverse(r: BoolRel) -> BoolRel:
 def _columns(row_masks, cols: int) -> list:
     """Column masks of a matrix given by its row masks, equal to
     ``inverse(r).row_masks``.  One string transpose, which beats the bit
-    loop of ``inverse`` once the rows are dense."""
+    loop of ``inverse`` once the rows are dense: the rows are written into
+    one string, reversed so that the last row's bits lead, and column c is
+    read as a strided slice."""
     width = f"0{cols}b"
-    rows = [format(m, width)[::-1] for m in reversed(row_masks)]
-    return [int("".join(col), 2) for col in zip(*rows)]
+    flat = "".join([format(m, width) for m in row_masks])[::-1]
+    return [int(flat[c::cols], 2) for c in range(cols)]
 
 
 def union(r: BoolRel, s: BoolRel) -> BoolRel:

@@ -12,6 +12,7 @@ from nfabisim import automaton
 from nfabisim.automaton import (
     Nfa,
     _refine,
+    _sum,
     accepts,
     factor,
     find_isomorphism,
@@ -52,7 +53,9 @@ from oracles import (
     random_partition,
     refine_oracle,
     refines_oracle,
+    reverse_oracle,
     subautomaton_oracle,
+    sum_oracle,
     weak_isomorphism_oracle,
 )
 
@@ -147,6 +150,26 @@ def test_bounded_language_modified_weak_pair_is_epsilon():
 
 def test_reverse_involution():
     assert reverse(reverse(FWD_A)) == FWD_A
+
+
+def test_reverse_is_built_once_and_the_sum_of_reversals_is_the_reversed_sum():
+    # An automaton keeps its reversal and the reversal keeps it, so every
+    # call after the first returns the same object, and a reversed sum can
+    # be assembled from the reversals the summands already keep.
+    rng = random.Random(44)
+    for _ in range(40):
+        alphabet = ("x", "y", "z")[:rng.randint(1, 3)]
+        a, b = (random_nfa(rng.randint(1, 7), alphabet, rng.choice((0.2, 0.4, 0.7)),
+                           rng.randrange(1 << 30)) for _ in range(2))
+        # B declares its alphabet in the other order; A+B takes A's.
+        b = Nfa(b.n, alphabet[::-1], b.delta, b.sigma, b.tau)
+        for c in (a, b):
+            r = reverse(c)
+            assert reverse(c) is r and reverse(r) is c
+            assert r == reverse_oracle(c)
+        expected = reverse(_sum(a, b))
+        assert _sum(reverse(a), reverse(b)) == expected
+        assert expected == reverse_oracle(sum_oracle(a, b))
 
 
 def test_reverse_golden():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nfabisim import bisim
 from nfabisim.automaton import Nfa, random_nfa, reverse
 from nfabisim.bisim import (
     BisimKind,
@@ -550,6 +551,25 @@ def test_self_fb_rounds_match_the_sum(a):
 @pytest.mark.parametrize("n, closed", [(24, False), (37, True), (58, False), (77, True)])
 def test_self_fb_rounds_match_the_sum_on_chains_and_rings(n, closed):
     _assert_self_path_is_the_sum_path(_line(n, closed))
+
+
+def test_self_bb_refines_the_reversal_alone(monkeypatch):
+    # reverse(A) is one object however often it is asked for, so bb of A
+    # against itself runs the forward rounds on reverse(A) alone and never
+    # builds the sum of two reversals.
+    def no_sum(a, b):
+        raise AssertionError("bb of an automaton against itself built a sum")
+
+    monkeypatch.setattr(bisim, "_sum", no_sum)
+    rng = random.Random(84)
+    for _ in range(60):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        a = random_nfa(rng.randint(1, 9), alphabet, rng.choice((0.1, 0.25, 0.5)),
+                       rng.randrange(1 << 30))
+        back = reverse_oracle(a)
+        expected = fixpoint_steps_oracle("fb", back, back)[-1]
+        assert greatest_backward_bisim(a, a).relation == expected
+        assert greatest_bb_equivalence(a) == Partition.from_relation(expected)
 
 
 def test_greatest_fb_equivalence_golden():

@@ -251,15 +251,20 @@ def _selectors(rng, width):
 
 
 def test_preimage_tables_and_string_transpose_match_rel_vec_and_inverse():
-    # Sizes on both sides of the 4-column chunks, rows of zero to two bits.
+    # Sizes on both sides of the 4-column chunks and of 16 and 17 selector
+    # bytes; rows of zero to two bits, or dense rows of about 30% as in the
+    # signature matrices.
     rng = random.Random(25)
-    sizes = (1, 3, 4, 5, 8, 9, 17, 33, 65)
-    for _ in range(40):
+    sizes = (1, 3, 4, 5, 8, 9, 17, 33, 65, 127, 128, 129)
+    for _ in range(60):
         rows, cols = rng.choice(sizes), rng.choice(sizes)
-        r = BoolRel.from_pairs(rows, cols, [
-            (a, rng.randrange(cols))
-            for a in range(rows) for _ in range(rng.randint(0, 2))
-        ])
+        if rng.random() < 0.5:
+            pairs = [(a, rng.randrange(cols))
+                     for a in range(rows) for _ in range(rng.randint(0, 2))]
+        else:
+            pairs = [(a, b) for a in range(rows) for b in range(cols)
+                     if rng.random() < 0.3]
+        r = BoolRel.from_pairs(rows, cols, pairs)
         image = _unions(r.row_masks)
         preimage = _unions(inverse(r).row_masks)
         for mask in _selectors(rng, rows):
