@@ -8,7 +8,6 @@ one-character symbols.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import compress, filterfalse, repeat
 from operator import ne
 
@@ -173,10 +172,14 @@ def factor(a: Nfa, e: Partition) -> Nfa:
     """Quotient automaton over the classes of an equivalence.
 
     Class C steps to class D on x when some member of C steps to some member
-    of D; a class is initial or terminal when one of its members is.
+    of D; a class is initial or terminal when one of its members is.  The
+    discrete partition gives a itself.
     """
     if e.n != a.n:
         raise ValueError(f"partition covers {e.n} elements, automaton has {a.n}")
+    # Class ids follow first members, so a discrete partition maps i to i.
+    if e.num_classes == a.n:
+        return a
     return _image(a, e.class_of, e.num_classes)
 
 
@@ -194,7 +197,7 @@ def _index_lists(rel: BoolRel) -> list:
     return [list(_bit_indices(m)) for m in rel.row_masks]
 
 
-def _refine(block: list, tables, split=None):
+def _refine(block: list, tables):
     """Partition refinement round by round from integer block ids: yields
     ``(block, moved)`` after each round, the new list of block ids and the
     states whose id changed in that round.
@@ -205,9 +208,7 @@ def _refine(block: list, tables, split=None):
     largest piece, and its other pieces take fresh ids, so every state that
     moves moves to a fresh block.  The last round yielded is the first that
     splits no block, and it moves nothing.  Over the successor tables of A+B
-    these are the paper's forward rounds (Kanellakis & Smolka, 1990); with
-    predecessor tables as well, colour refinement (Berkholz, Bonsma & Grohe,
-    2013).
+    these are the paper's forward rounds (Kanellakis & Smolka, 1990).
 
     Rounds differ only in the states they key.  A round keys every state
     unless the round before moved at most an eighth of them; then it keys
@@ -216,14 +217,10 @@ def _refine(block: list, tables, split=None):
     keyed stay together, as one more piece of it, and apart from those that
     were.  The predecessor lists are built for the first such round, and
     the block members for the first that keys a state.
-
-    ``split``, when given, lists states just moved to fresh ids out of a
-    stable colouring, states sharing an id out of one block; the first round
-    then keys only their predecessors (McKay & Piperno, 2014).
     """
     n = len(block)
     fresh = max(block) + 1
-    preds = members = None
+    split = preds = members = None
     while True:
         if split is None:
             # Every state's key at C speed.  A key is numbered by the state
@@ -294,67 +291,40 @@ def _refine(block: list, tables, split=None):
         block = new
 
 
-def _balanced_refine(block: list, tables, n: int, split=None):
-    """The stable colouring ``_refine`` reaches from block over A+B, or None
-    when a colour of it holds unequal numbers of A and B states.  No round
-    before needs the check: refinement only splits colours, and the pieces
-    of a colour with unequal A and B counts add up to those counts, so one
-    of them is unequal as well.
-    """
-    for block, _ in _refine(block, tables, split):
-        pass
-    return block if sorted(block[:n]) == sorted(block[n:]) else None
-
-
 def find_isomorphism(a: Nfa, b: Nfa):
-    """The isomorphism with the lexicographically least image sequence, or
-    None when the automata are not isomorphic.
+    """The isomorphism between two fb-reduced automata, or None when there
+    is none.
 
-    Colours over A+B start as 2 * initial + terminal and are refined by
-    ``_refine`` over successor and predecessor tables per symbol.  A colour
-    with unequal numbers of A and B states rules the isomorphism out.  When
-    each colour holds one A state and one B state, that pairing is the
-    isomorphism: a stable colouring preserves every edge and both boundary
-    bits.  Otherwise the least A state i in a larger colour takes a fresh
-    colour with each B state of its colour in turn, in increasing order, and
-    the colours are refined again, keying first only the pair's neighbours
-    (McKay & Piperno, 2014).  The search backtracks only over these choices.
-    Every A state below i has one possible image, so the first bijection
-    found is the least.  The search keeps its own stack, so its depth is not
-    bounded by the recursion limit.
+    Precondition: the greatest fb equivalence of each automaton is the
+    identity, as on the factors that route 2 of the fb decider compares.
+    One ``_refine`` over the successor tables of A+B colours the states
+    from 2 * initial + terminal.  An isomorphism keeps colours, so an
+    unbalanced colour rules one out.  Otherwise each colour holds one state
+    per side, and that pairing is the isomorphism: the stable colouring
+    restricted to one side is an fb equivalence (equal colours agree on
+    terminal states and on their successors' colours, and no edge leaves
+    the side), which on a reduced side leaves every colour one state.  A
+    colour with two states of one side means an input was not reduced, an
+    internal error.
     """
     _require_same_alphabet(a, b)
     if a.n != b.n:
         return None
     n = a.n
     s = _sum(a, b)
-    tables = [_index_lists(r) for x in s.alphabet
-              for r in (s.delta[x], reverse(s).delta[x])]
-    start = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
-    # Colourings still to refine, each with the pair of states that take a
-    # fresh colour in it, None for the first.  Siblings go on largest image
-    # first, so their images come off in increasing order.
-    stack = [(start, None)]
-    while stack:
-        block, pair = stack.pop()
-        if pair:
-            block = block.copy()
-            block[pair[0]] = block[pair[1]] = max(block) + 1
-        block = _balanced_refine(block, tables, n, pair)
-        if block is None:
-            continue
-        size = Counter(block)
-        i = next((i for i in range(n) if size[block[i]] > 2), None)
-        if i is None:
-            # Each colour holds one A state and one B state.
-            image = dict(zip(block[n:], range(n)))
-            phi = tuple(map(image.__getitem__, block[:n]))
-            if not is_isomorphism(a, b, phi):
-                raise AssertionError("isomorphism search produced an invalid mapping")
-            return phi
-        cell = [j for j in range(n, 2 * n) if block[j] == block[i]]
-        stack += [(block, (i, j)) for j in reversed(cell)]
-    return None
+    block = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
+    for block, _ in _refine(block, [_index_lists(s.delta[x]) for x in s.alphabet]):
+        pass
+    if sorted(block[:n]) != sorted(block[n:]):
+        return None
+    image = dict(zip(block[n:], range(n)))
+    if len(image) < n:
+        raise AssertionError("a colour holds two states of one side: "
+                             "an automaton is not fb-reduced")
+    phi = tuple(map(image.__getitem__, block[:n]))
+    if not is_isomorphism(a, b, phi):
+        raise AssertionError("successor refinement produced an invalid mapping")
+    return phi
 
 
 def random_nfa(n: int, alphabet, transition_density: float, seed) -> Nfa:

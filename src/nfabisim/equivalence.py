@@ -2,9 +2,8 @@
 uniform-relation cross-checks.
 
 The two pairwise deciders each run two independent derivations (the greatest
-relation between the automata, and an isomorphism search between their
-reduced forms) and insist that they agree; a disagreement is an internal bug,
-not a verdict.
+relation between the automata, and a matching of their reduced forms) and
+insist that they agree; a disagreement is an internal bug, not a verdict.
 """
 
 from __future__ import annotations
@@ -127,7 +126,8 @@ def fb_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     """Decide whether a complete and surjective forward bisimulation exists.
 
     The structural route factors both automata by their greatest forward
-    bisimulation equivalences and searches for an isomorphism.  The verdict
+    bisimulation equivalences and matches the factors, which are fb-reduced,
+    by one successor refinement (``find_isomorphism``).  The verdict
     is returned only when both routes agree, and a positive witness is
     re-verified against the definitions.
     """

@@ -401,16 +401,24 @@ class Partition:
 
     @classmethod
     def from_relation(cls, rel: BoolRel) -> "Partition":
-        """Convert an equivalence relation; rejects non-equivalences."""
+        """Convert an equivalence relation; rejects non-equivalences.
+
+        A relation is an equivalence exactly when each row a is the mask of
+        the states whose row equals row a: the relation of the partition
+        that groups equal rows.  Only a rejected relation is asked which law
+        it breaks.
+        """
         _require_square(rel, "equivalence relation")
+        part = cls(rel.row_masks)
+        if part.to_relation() == rel:
+            return part
         for a in range(rel.rows):
             if not rel.row_masks[a] >> a & 1:
                 raise ValueError(f"relation is not reflexive at {a}")
         if inverse(rel) != rel:
             raise ValueError("relation is not symmetric")
-        if not subset_of(compose(rel, rel), rel):
-            raise ValueError("relation is not transitive")
-        return cls(rel.row_masks)
+        # Reflexive and symmetric but no equivalence.
+        raise ValueError("relation is not transitive")
 
     def to_relation(self) -> BoolRel:
         class_mask = [0] * len(self.classes)
@@ -458,8 +466,14 @@ def is_surjective(phi: BoolRel) -> bool:
 
 
 def is_partial_uniform(phi: BoolRel) -> bool:
-    """True when phi composed with its inverse and itself stays inside phi."""
-    return subset_of(compose(compose(phi, inverse(phi)), phi), phi)
+    """True when phi composed with its inverse and itself stays inside phi,
+    that is, when any two rows are equal or disjoint: the distinct rows'
+    union has as many bits as they have together."""
+    distinct = set(phi.row_masks)
+    covered = 0
+    for m in distinct:
+        covered |= m
+    return covered.bit_count() == sum(map(int.bit_count, distinct))
 
 
 def is_uniform(phi: BoolRel) -> bool:

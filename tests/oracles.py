@@ -280,6 +280,18 @@ def isomorphism_oracle(a: Nfa, b: Nfa, phi) -> bool:
     )
 
 
+def isomorphic_oracle(a: Nfa, b: Nfa) -> list:
+    """Every isomorphism from A onto B, as image tuples in lexicographic
+    order, found by trying each permutation of B's states; empty when the
+    automata are not isomorphic."""
+    if a.n != b.n:
+        return []
+    return [
+        phi for phi in itertools.permutations(range(b.n))
+        if isomorphism_oracle(a, b, phi)
+    ]
+
+
 def dfa_isomorphism_oracle(d1, d2):
     """The state bijection between two DFAs, or None.
 
@@ -535,6 +547,41 @@ def sum_oracle(a: Nfa, b: Nfa) -> Nfa:
         _members(a.sigma) | shift(_members(b.sigma)),
         _members(a.tau) | shift(_members(b.tau)),
     )
+
+
+def _pairs(r: BoolRel) -> set:
+    bits = r.bits()
+    return {(a, b) for a in range(r.rows) for b in range(r.cols) if bits[a][b]}
+
+
+def _compose_pairs(r: set, s: set) -> set:
+    return {(a, c) for a, b in r for b2, c in s if b == b2}
+
+
+def equivalence_oracle(rel: BoolRel):
+    """The classes of a square relation that is an equivalence, each a
+    sorted tuple, in order of least member; for any other square relation
+    the message naming the first law it breaks, tried in the order
+    reflexivity (at the least state without its pair), symmetry,
+    transitivity."""
+    pairs = _pairs(rel)
+    n = rel.rows
+    for a in range(n):
+        if (a, a) not in pairs:
+            return f"relation is not reflexive at {a}"
+    if any((b, a) not in pairs for a, b in pairs):
+        return "relation is not symmetric"
+    if not _compose_pairs(pairs, pairs) <= pairs:
+        return "relation is not transitive"
+    return tuple(sorted({tuple(b for b in range(n) if (a, b) in pairs) for a in range(n)}))
+
+
+def partial_uniform_oracle(phi: BoolRel) -> bool:
+    """Whether phi o phi^-1 o phi is contained in phi, composed pair by
+    pair."""
+    pairs = _pairs(phi)
+    inverse = {(b, a) for a, b in pairs}
+    return _compose_pairs(_compose_pairs(pairs, inverse), pairs) <= pairs
 
 
 def all_relations(rows: int, cols: int, include_empty: bool = False):

@@ -603,6 +603,25 @@ def test_fixpoint_that_is_no_equivalence_exits_3(monkeypatch, capsys):
     )
 
 
+def test_unreduced_fb_factors_exit_3(monkeypatch, capsys):
+    # fwd_b has fb-equivalent states.  With its greatest fb equivalence
+    # replaced by the discrete partition, route 2 matches fwd_b itself
+    # against a copy, and a colour holds two of its states: the program is
+    # at fault, not the input.
+    assert equivalence.greatest_fb_equivalence(GOLDEN_AUTOMATA["fwd_b"]).num_classes < 5
+    monkeypatch.setattr(
+        equivalence, "greatest_fb_equivalence", lambda a: Partition(range(a.n))
+    )
+    code = main(["equiv", "--mode", "fb", data("fwd_b.nfa"), data("fwd_b.nfa")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: AssertionError('a colour holds two states of one side: "
+        "an automaton is not fb-reduced')\n"
+    )
+
+
 @pytest.mark.parametrize("mode, module, name, pair", [
     ("fb", automaton, "is_isomorphism", ("fwd_a", "fwd_b")),
     ("wfb", equivalence, "is_weak_forward_isomorphism", ("weak_a", "weak_b")),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -43,10 +44,12 @@ from oracles import (
     arrow_left_oracle,
     arrow_right_oracle,
     compose_oracle,
+    equivalence_oracle,
     functional_descriptions_oracle,
     image_oracle,
     join_oracle,
     kernel_oracle,
+    partial_uniform_oracle,
     quotient_partition_oracle,
     random_uniform_relation,
     residual_left_oracle,
@@ -524,6 +527,46 @@ def test_partition_from_relation_rejects_non_equivalences():
         )
     with pytest.raises(ValueError, match="square"):
         Partition.from_relation(BoolRel(2, 3, [0b111] * 2))
+
+
+def _small_relations():
+    """Every relation of at most four rows and at most four columns, the
+    empty ones included: 74,954 in all."""
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            yield from all_relations(rows, cols, include_empty=True)
+
+
+def test_partition_from_relation_matches_the_oracle_on_every_small_relation():
+    # The row grouping accepts exactly the equivalences; every other square
+    # relation is rejected with the message of the first law it breaks.
+    accepted, messages = 0, set()
+    for rel in _small_relations():
+        if rel.rows != rel.cols:
+            continue
+        expected = equivalence_oracle(rel)
+        try:
+            got = Partition.from_relation(rel).classes
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, rel
+        if isinstance(expected, tuple):
+            accepted += 1
+        else:
+            messages.add(expected.split(" at ")[0])
+    # The Bell numbers 1, 2, 5 and 15 count the equivalences.
+    assert accepted == 23
+    assert messages == {f"relation is not {law}"
+                        for law in ("reflexive", "symmetric", "transitive")}
+
+
+def test_is_partial_uniform_matches_the_composition_definition_on_every_small_relation():
+    verdicts = Counter()
+    for rel in _small_relations():
+        verdict = is_partial_uniform(rel)
+        assert verdict == partial_uniform_oracle(rel), rel
+        verdicts[verdict] += 1
+    assert sum(verdicts.values()) == 74954 and min(verdicts.values()) > 1000
 
 
 # The quotient and join oracles the factor-tower and join tests rely on.
