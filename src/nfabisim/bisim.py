@@ -303,6 +303,12 @@ def _take_out(pairs, lines, others, gone_lines, gone_others) -> None:
             m ^= low
 
 
+def _loops_only(rel: BoolRel) -> bool:
+    """Whether rel lies inside the identity: each state steps to itself or
+    nowhere."""
+    return all(not m & ~(1 << i) for i, m in enumerate(rel.row_masks))
+
+
 def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     """The paper's shrinking sequence phi_0, phi_1, ... for the greatest
     backward-forward bisimulation, from phi = phi_0 and phi_inv = phi_0^-1.
@@ -326,7 +332,18 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     That set is ``lost & ~U_k(a)``, with ``lost`` the union of the removed
     parts of the rows u in S(a), so only rows a above a removed row are
     re-tested, and a fails at the B-preimage of that set.  Columns are the
-    mirror image.  Every round thus removes the paper's pairs and no others.
+    mirror image.
+
+    A symbol that only loops, its relation inside the identity on A and on
+    B, is checked in round 0 and dropped after it.  For such a symbol S(a)
+    is {a} or empty, so U_k(a) is row a of phi_k or empty, and S(b) is {b}
+    or empty.  A pair (a, b) of phi_k has b in row a, so it keeps the row
+    condition exactly when b loops only if a does, whatever k is; the
+    column condition is the mirror image, a loops only if b does.  A pair
+    that survives round 0 thus never breaks either condition of that
+    symbol again, and the semi-naive re-test, which would re-test each
+    removed row against itself, could find nothing.  Every round thus
+    removes the paper's pairs and no others.
     """
     _require_same_alphabet(a, b)
     # Per symbol, what each condition reads: each line's selector mask, the
@@ -334,13 +351,14 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     # states into the other side's failing ones.  Rows select by A's
     # successors and fail at B's preimages; columns select by B's
     # predecessors and fail at A's images.
-    row_sides, col_sides = [], []
+    row_sides, col_sides, moving = [], [], []
     back_a, back_b = reverse(a), reverse(b)
     for x in a.alphabet:
         fa, fb = a.delta[x], b.delta[x]
         ra, rb = back_a.delta[x], back_b.delta[x]
         row_sides.append((fa.row_masks, _index_lists(ra), _unions(rb.row_masks)))
         col_sides.append((rb.row_masks, _index_lists(fb), _unions(fa.row_masks)))
+        moving.append(not (_loops_only(fa) and _loops_only(fb)))
     top_a, top_b = (1 << a.n) - 1, (1 << b.n) - 1
     rows = list(phi.row_masks)
     cols = list(phi_inv.row_masks)
@@ -349,6 +367,10 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     while any(rows):
         by_row = _lost_witnesses(rows, gone_rows, top_b, row_sides)
         by_col = _lost_witnesses(cols, gone_cols, top_a, col_sides)
+        if gone_rows is None:
+            # After round 0 a symbol that only loops removes nothing.
+            row_sides = [s for s, keep in zip(row_sides, moving) if keep]
+            col_sides = [s for s, keep in zip(col_sides, moving) if keep]
         # Both conditions read phi_k; a pair both find is taken out once.
         gone_rows, gone_cols = {}, {}
         _take_out(by_row, rows, cols, gone_rows, gone_cols)

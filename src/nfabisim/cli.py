@@ -99,8 +99,21 @@ def _alphabet_problem(symbols):
     return None
 
 
+def _decimal(token: str) -> int:
+    """The value of a run of ASCII decimal digits, or ValueError.  ``int``
+    alone would also take a sign (``+0``, ``-0``), underscores between
+    digits (``0_2``) and the decimal digits of other scripts, Arabic-Indic
+    ones for instance."""
+    if not (token.isascii() and token.isdecimal()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
 def _parse_state(token: str, n: int, source: str, lineno: int) -> int:
+    # ``_decimal`` written out: this runs for both ends of every transition.
     try:
+        if not (token.isascii() and token.isdecimal()):
+            raise ValueError
         value = int(token)
     except ValueError:
         raise ParseError(source, lineno, f"expected a state index, got {token!r}")
@@ -135,7 +148,7 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
     if len(fields) != 1:
         raise ParseError(source, lineno, "states takes exactly one count")
     try:
-        n = int(fields[0])
+        n = _decimal(fields[0])
     except ValueError:
         raise ParseError(source, lineno, f"bad state count {fields[0]!r}")
     if n < 1:
@@ -176,13 +189,14 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
                 source, lineno, f"duplicate transitions for symbol {head!r}"
             )
         seen.add(head)
+        edges = transitions[head]
         for token in rest.split():
             src, arrow, dst = token.partition("->")
             if arrow != "->":
                 raise ParseError(
                     source, lineno, f"bad transition {token!r}, expected src->dst"
                 )
-            transitions[head].append(
+            edges.append(
                 (
                     _parse_state(src, n, source, lineno),
                     _parse_state(dst, n, source, lineno),
@@ -254,7 +268,7 @@ def parse_rel(text: str, source: str = "<string>") -> BoolRel:
     if len(fields) != 2:
         raise ParseError(source, lineno, "header must be 'rows cols'")
     try:
-        rows, cols = int(fields[0]), int(fields[1])
+        rows, cols = _decimal(fields[0]), _decimal(fields[1])
     except ValueError:
         raise ParseError(source, lineno, f"bad header {header!r}")
     if rows < 1 or cols < 1:

@@ -438,6 +438,86 @@ def test_fb_steps_match_the_paper_rounds_on_deep_automata(n, closed, shorter):
     assert backward_forward_bisim_steps(a, b) == fixpoint_steps_oracle("bfb", a, b)
 
 
+def _with_symbol(a, x, rel):
+    """a with the relation of symbol x replaced by rel."""
+    return Nfa(a.n, a.alphabet, {**a.delta, x: rel}, a.sigma, a.tau)
+
+
+def _partial_identity(rng, n, share):
+    """A relation inside the identity: each state loops with probability
+    ``share`` and has no edge otherwise."""
+    return BoolRel(n, n, [1 << q if rng.random() < share else 0 for q in range(n)])
+
+
+@pytest.fixture
+def bfb_sides(monkeypatch):
+    """Per ``_lost_witnesses`` call of the bfb rounds, whether it is round
+    0's and how many symbols it tests."""
+    seen = []
+    real = bisim._lost_witnesses
+
+    def spy(lines, removed, top, sides):
+        seen.append((removed is None, len(sides)))
+        return real(lines, removed, top, sides)
+
+    monkeypatch.setattr(bisim, "_lost_witnesses", spy)
+    return seen
+
+
+def test_bfb_drops_symbols_that_only_loop_after_round_zero(bfb_sides):
+    # "b" loops on some states of each side and has no edge on the others;
+    # "a" and "c" are random.  Against a relabelled copy the loops stay
+    # loops and phi stays nonempty for several rounds.
+    rng = random.Random(67)
+    deep = 0
+    for trial in range(40):
+        share = (1.0, 0.7, 0.3, 0.0)[trial % 4]
+        a = _sparse(rng, rng.randint(6, 24), ("a", "b", "c"))
+        a = _with_symbol(a, "b", _partial_identity(rng, a.n, share))
+        if trial % 2:
+            b = _blown_up(rng, a, 0)
+        else:
+            b = _sparse(rng, rng.randint(6, 24), ("c", "b", "a"))
+            b = _with_symbol(b, "b", _partial_identity(rng, b.n, share))
+        bfb_sides.clear()
+        steps = backward_forward_bisim_steps(a, b)
+        assert steps == fixpoint_steps_oracle("bfb", a, b)
+        assert bfb_sides[:2] == [(True, 3), (True, 3)]
+        assert bfb_sides[2:] == [(False, 2)] * (len(bfb_sides) - 2)
+        deep += len(steps) > 3
+    assert deep >= 10
+    # The rings and chains of the benchmark: "b" loops on every state.
+    for n, closed in ((30, True), (31, False)):
+        a = _line(n, closed)
+        b = _blown_up(random.Random(n), a, 0)
+        bfb_sides.clear()
+        steps = backward_forward_bisim_steps(a, b)
+        assert steps == fixpoint_steps_oracle("bfb", a, b)
+        assert len(steps) > n // 2
+        assert bfb_sides[:2] == [(True, 2), (True, 2)]
+        assert bfb_sides[2:] == [(False, 1)] * (len(bfb_sides) - 2)
+
+
+def test_bfb_keeps_symbols_that_loop_on_one_side_only(bfb_sides):
+    # "b" loops on every state of A; on B it loops too but one state also
+    # steps elsewhere (or, the mirror case, A's "b" does), so the symbol can
+    # still remove pairs after round 0 and is re-tested every round.
+    rng = random.Random(71)
+    for trial in range(30):
+        a = _line(rng.randint(4, 16), trial % 3 == 0)
+        b = _blown_up(rng, a, 0)
+        loose = list(b.delta["b"].row_masks)
+        q = rng.randrange(b.n)
+        loose[q] |= 1 << (q + rng.randrange(1, b.n)) % b.n
+        b = _with_symbol(b, "b", BoolRel(b.n, b.n, loose))
+        if trial % 2:
+            a, b = b, a
+        bfb_sides.clear()
+        steps = backward_forward_bisim_steps(a, b)
+        assert steps == fixpoint_steps_oracle("bfb", a, b)
+        assert all(count == 2 for _, count in bfb_sides)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_automaton_pairs())
 @example(_EMPTY_START)

@@ -550,6 +550,91 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+# Tokens that int() reads as a number but that are not a run of ASCII
+# decimal digits: a sign, an underscore between digits, Arabic-Indic digits.
+_NOT_DECIMAL = ["+0", "-0", "0_2", "١", "٢"]
+
+
+@pytest.mark.parametrize("token", _NOT_DECIMAL)
+@pytest.mark.parametrize("place", ["initial", "terminal", "source", "target"])
+def test_state_index_must_be_ascii_decimal_digits(tmp_path, capsys, place, token):
+    tokens = {"initial": "0", "terminal": "2", "source": "0", "target": "1"}
+    tokens[place] = token
+    bad = tmp_path / "bad.nfa"
+    bad.write_text(
+        f"states 3\nalphabet a\ninitial {tokens['initial']}\n"
+        f"terminal {tokens['terminal']}\n"
+        f"a: {tokens['source']}->{tokens['target']} 1->2\n",
+        encoding="utf-8",
+    )
+    assert main(["reduce", "--mode", "fb", str(bad)]) == 2
+    err = capsys.readouterr().err
+    line = 3 if place == "initial" else 4 if place == "terminal" else 5
+    assert f"bad.nfa:{line}: expected a state index, got {token!r}" in err
+
+
+def test_state_indices_with_signs_underscores_and_other_digits_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.nfa"
+    bad.write_text(
+        "states 3\nalphabet a\ninitial +0\nterminal 0_2\na: 0->1 ١->2 -0->0\n",
+        encoding="utf-8",
+    )
+    assert main(["bisim", "--kind", "fb", str(bad), str(bad)]) == 2
+    assert "expected a state index, got '+0'" in capsys.readouterr().err
+    # Leading zeros are still decimal digits.
+    assert parse_nfa("states 3\nalphabet a\ninitial 00\nterminal 02\na: 01->002\n") == (
+        parse_nfa("states 3\nalphabet a\ninitial 0\nterminal 2\na: 1->2\n")
+    )
+
+
+@pytest.mark.parametrize("token", _NOT_DECIMAL + ["٣"])
+def test_state_count_must_be_ascii_decimal_digits(tmp_path, capsys, token):
+    bad = tmp_path / "bad.nfa"
+    bad.write_text(f"states {token}\nalphabet a\ninitial 0\nterminal\n", encoding="utf-8")
+    assert main(["reduce", "--mode", "fb", str(bad)]) == 2
+    assert f"bad.nfa:1: bad state count {token!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["+3 5", "3 0_5", "٣ 5", "3 -5", "-0 5"])
+def test_relation_header_must_be_ascii_decimal_digits(tmp_path, capsys, header):
+    rel = tmp_path / "bad.rel"
+    rel.write_text(f"{header}\n" + "00000\n" * 3, encoding="utf-8")
+    code = main(["check", "--kind", "fb", "--relation", str(rel),
+                 data("fwd_a.nfa"), data("fwd_b.nfa")])
+    assert code == 2
+    assert f"bad.rel:1: bad header {header!r}" in capsys.readouterr().err
+
+
+# More digits than int() converts from text by default (4300), so the
+# conversion itself fails; that still names the file and the line.
+_LONG = "9" * 5000
+
+
+def test_over_long_numbers_are_parse_errors(tmp_path, capsys):
+    nfa = "states 3\nalphabet a\ninitial {}\nterminal\na: 0->1\n"
+    for text, message in [
+        (nfa.format(0).replace("states 3", f"states {_LONG}"),
+         f"bad.nfa:1: bad state count {_LONG!r}"),
+        (nfa.format(_LONG), f"bad.nfa:3: expected a state index, got {_LONG!r}"),
+        (nfa.format(0).replace("0->1", f"{_LONG}->1"),
+         f"bad.nfa:5: expected a state index, got {_LONG!r}"),
+    ]:
+        bad = tmp_path / "bad.nfa"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["reduce", "--mode", "fb", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+        with pytest.raises(ParseError):
+            parse_nfa(text)
+    rel = tmp_path / "bad.rel"
+    rel.write_text(f"{_LONG} 5\n" + "00000\n" * 3, encoding="utf-8")
+    code = main(["check", "--kind", "fb", "--relation", str(rel),
+                 data("fwd_a.nfa"), data("fwd_b.nfa")])
+    assert code == 2
+    assert f"bad.rel:1: bad header {_LONG + ' 5'!r}" in capsys.readouterr().err
+    with pytest.raises(ParseError):
+        parse_rel(f"3 {_LONG}\n000\n000\n000\n")
+
+
 def test_state_count_limit_is_inclusive():
     header = f"states {MAX_STATES}\nalphabet x\ninitial 0\nterminal\n"
     assert parse_nfa(header).n == MAX_STATES
