@@ -54,7 +54,7 @@ class Nfa:
     """Nondeterministic automaton: per-symbol transition relations plus
     initial and terminal state vectors."""
 
-    __slots__ = ("n", "alphabet", "delta", "sigma", "tau", "_reversal")
+    __slots__ = ("n", "alphabet", "delta", "sigma", "tau", "_reversal", "_succ")
 
     def __init__(self, n: int, alphabet, delta, sigma, tau):
         if n < 1:
@@ -71,7 +71,7 @@ class Nfa:
         self.delta = {x: _as_rel(delta[x], n) for x in alphabet}
         self.sigma = _as_vec(sigma, n)
         self.tau = _as_vec(tau, n)
-        self._reversal = None
+        self._reversal = self._succ = None
 
     def word(self, u) -> tuple:
         """Normalize a word and reject symbols outside the alphabet."""
@@ -197,6 +197,35 @@ def _index_lists(rel: BoolRel) -> list:
     return [list(_bit_indices(m)) for m in rel.row_masks]
 
 
+def _successors(a: Nfa) -> list:
+    """a's successor index: per symbol in alphabet order, each state's
+    successors as a rising list, ``_index_lists(a.delta[x])``.
+
+    It is built at most once per automaton and kept with it: by the parser
+    from the edges it reads, and otherwise here from the masks on first use.
+    The lists are shared, with the index of a sum too (``_sum_successors``),
+    and no reader changes them.
+    """
+    if a._succ is None:
+        a._succ = [_index_lists(a.delta[x]) for x in a.alphabet]
+    return a._succ
+
+
+def _sum_successors(a: Nfa, b: Nfa) -> list:
+    """The successor index of A+B, ``_successors(_sum(a, b))``, joined from
+    the indices of A and B: A's lists as they are, then B's, looked up by
+    symbol and shifted by a.n.  The refinements over A+B read only this, so
+    they build no masks of the sum, and the subset searches over ``_sum``
+    build no lists."""
+    _require_same_alphabet(a, b)
+    off = a.n
+    by_symbol = dict(zip(b.alphabet, _successors(b)))
+    return [
+        lists + [[j + off for j in row] for row in by_symbol[x]]
+        for x, lists in zip(a.alphabet, _successors(a))
+    ]
+
+
 def _refine(block: list, tables):
     """Partition refinement round by round from integer block ids: yields
     ``(block, moved)`` after each round, the new list of block ids and the
@@ -311,9 +340,10 @@ def find_isomorphism(a: Nfa, b: Nfa):
     if a.n != b.n:
         return None
     n = a.n
-    s = _sum(a, b)
-    block = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
-    for block, _ in _refine(block, [_index_lists(s.delta[x]) for x in s.alphabet]):
+    sigma = a.sigma.mask | b.sigma.mask << n
+    tau = a.tau.mask | b.tau.mask << n
+    block = [2 * (sigma >> i & 1) + (tau >> i & 1) for i in range(2 * n)]
+    for block, _ in _refine(block, _sum_successors(a, b)):
         pass
     if sorted(block[:n]) != sorted(block[n:]):
         return None

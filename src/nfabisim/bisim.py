@@ -40,10 +40,11 @@ from enum import Enum
 
 from .automaton import (
     Nfa,
-    _index_lists,
     _refine,
     _require_same_alphabet,
+    _successors,
     _sum,
+    _sum_successors,
     reverse,
 )
 from .nerode import _subsets
@@ -353,11 +354,12 @@ def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
     # predecessors and fail at A's images.
     row_sides, col_sides, moving = [], [], []
     back_a, back_b = reverse(a), reverse(b)
-    for x in a.alphabet:
+    succ_b = dict(zip(b.alphabet, _successors(b)))
+    for x, pred_a in zip(a.alphabet, _successors(back_a)):
         fa, fb = a.delta[x], b.delta[x]
-        ra, rb = back_a.delta[x], back_b.delta[x]
-        row_sides.append((fa.row_masks, _index_lists(ra), _unions(rb.row_masks)))
-        col_sides.append((rb.row_masks, _index_lists(fb), _unions(fa.row_masks)))
+        rb = back_b.delta[x]
+        row_sides.append((fa.row_masks, pred_a, _unions(rb.row_masks)))
+        col_sides.append((rb.row_masks, succ_b[x], _unions(fa.row_masks)))
         moving.append(not (_loops_only(fa) and _loops_only(fb)))
     top_a, top_b = (1 << a.n) - 1, (1 << b.n) - 1
     rows = list(phi.row_masks)
@@ -399,9 +401,9 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     The sequence ends as the paper's does, once phi repeats or is empty,
     even while blocks inside A or inside B still split.
     """
-    s, off = (a, 0) if b is a else (_sum(a, b), a.n)
-    succ = [_index_lists(s.delta[x]) for x in s.alphabet]
-    block = [s.tau.mask >> i & 1 for i in range(s.n)]
+    off, succ = (0, _successors(a)) if b is a else (a.n, _sum_successors(a, b))
+    tau = a.tau.mask | b.tau.mask << off
+    block = [tau >> i & 1 for i in range(off + b.n)]
     masks = defaultdict(int, {0: ~b.tau.mask & (1 << b.n) - 1, 1: b.tau.mask})
     rounds = _refine(block, succ)
     seq = []

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
-from itertools import compress
+from itertools import compress, islice
+from operator import ge
 
 from . import equivalence
 from .automaton import Nfa, random_nfa
@@ -124,6 +126,54 @@ def _parse_state(token: str, n: int, source: str, lineno: int) -> int:
     return value
 
 
+# The text after the colon of a transition line whose tokens are all
+# ``src->dst`` in ASCII digits.  ``\s`` matches exactly where ``str.isspace``
+# is true, so the tokens are the ones ``str.split`` finds.
+_EDGE_LINE = re.compile(r"\s*(?:[0-9]+->[0-9]+(?:\s+|\Z))*")
+
+
+def _transitions(rest: str, names: dict, source: str, lineno: int) -> list:
+    """The states of a transition line, source and target alternating, from
+    its text after the colon; ``names`` maps each state's plain decimal name
+    to the state.
+
+    A line is read in bulk: one match of ``_EDGE_LINE``, one split, and
+    each number looked up in ``names``, which converts it and checks its
+    range at once.  Any other line, one with a leading zero included, is
+    read token by token, and the first bad token raises its ParseError.
+    """
+    if _EDGE_LINE.fullmatch(rest):
+        try:
+            return list(map(names.__getitem__, rest.replace("->", " ").split()))
+        except KeyError:
+            pass
+    n = len(names)
+    ends = []
+    for token in rest.split():
+        src, arrow, dst = token.partition("->")
+        if arrow != "->":
+            raise ParseError(
+                source, lineno, f"bad transition {token!r}, expected src->dst"
+            )
+        ends += (_parse_state(src, n, source, lineno),
+                 _parse_state(dst, n, source, lineno))
+    return ends
+
+
+def _successor_rows(ends: list, n: int) -> tuple:
+    """Each state's successors as a rising list and as a mask, from source
+    and target states alternating, in any order and with repeats."""
+    pairs = list(zip(ends[::2], ends[1::2]))
+    if any(map(ge, pairs, islice(pairs, 1, None))):
+        pairs = sorted(set(pairs))
+    lists = [[] for _ in range(n)]
+    masks = [0] * n
+    for src, dst in pairs:
+        lists[src].append(dst)
+        masks[src] |= 1 << dst
+    return lists, masks
+
+
 def parse_nfa(text: str, source: str = "<string>") -> Nfa:
     """Parse the automaton text format; raises ParseError with a line number."""
     lines = list(_meaningful_lines(text))
@@ -170,6 +220,7 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
 
     transitions = {x: [] for x in symbols}
     seen = set()
+    names = dict(zip(map(str, range(n)), range(n)))
     while pos < len(lines):
         lineno, line = lines[pos]
         pos += 1
@@ -189,30 +240,24 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
                 source, lineno, f"duplicate transitions for symbol {head!r}"
             )
         seen.add(head)
-        edges = transitions[head]
-        for token in rest.split():
-            src, arrow, dst = token.partition("->")
-            if arrow != "->":
-                raise ParseError(
-                    source, lineno, f"bad transition {token!r}, expected src->dst"
-                )
-            edges.append(
-                (
-                    _parse_state(src, n, source, lineno),
-                    _parse_state(dst, n, source, lineno),
-                )
-            )
+        transitions[head] = _transitions(rest, names, source, lineno)
 
-    delta = {
-        x: BoolRel.from_pairs(n, n, pairs) for x, pairs in transitions.items()
-    }
+    delta, succ = {}, []
+    for x, ends in transitions.items():
+        lists, masks = _successor_rows(ends, n)
+        delta[x] = BoolRel(n, n, masks)
+        succ.append(lists)
     sigma = [0] * n
     for q in initial:
         sigma[q] = 1
     tau = [0] * n
     for q in terminal:
         tau[q] = 1
-    return Nfa(n, symbols, delta, sigma, tau)
+    a = Nfa(n, symbols, delta, sigma, tau)
+    # Read from the same edges as the masks, the successor index that
+    # ``automaton._successors`` would otherwise build from them.
+    a._succ = succ
+    return a
 
 
 def format_nfa(a: Nfa) -> str:

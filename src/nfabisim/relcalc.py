@@ -131,15 +131,6 @@ class BoolRel:
             raise ValueError("rows have unequal lengths")
         return cls(len(bits), cols, map(_mask_of, bits))
 
-    @classmethod
-    def from_pairs(cls, rows: int, cols: int, pairs) -> "BoolRel":
-        masks = [0] * rows
-        for a, b in pairs:
-            if not (0 <= a < rows and 0 <= b < cols):
-                raise ValueError(f"pair ({a}, {b}) out of range for {rows}x{cols}")
-            masks[a] |= 1 << b
-        return cls(rows, cols, masks)
-
     def __eq__(self, other):
         return (
             isinstance(other, BoolRel)

@@ -10,6 +10,16 @@ import itertools
 from nfabisim import BoolRel, BoolVec, Nfa, Partition
 
 
+def rel_from_pairs(rows: int, cols: int, pairs) -> BoolRel:
+    """The relation holding exactly the given (row, column) pairs."""
+    masks = [0] * rows
+    for a, b in pairs:
+        if not (0 <= a < rows and 0 <= b < cols):
+            raise ValueError(f"pair ({a}, {b}) out of range for {rows}x{cols}")
+        masks[a] |= 1 << b
+    return BoolRel(rows, cols, masks)
+
+
 def compose_oracle(r: BoolRel, s: BoolRel) -> BoolRel:
     rb, sb = r.bits(), s.bits()
     out = [[0] * s.cols for _ in range(r.rows)]
@@ -142,7 +152,7 @@ def delta_word_oracle(a: Nfa, u) -> BoolRel:
         for x in word:
             current = step_states(a, current, x)
         pairs |= {(p, q) for q in current}
-    return BoolRel.from_pairs(a.n, a.n, pairs)
+    return rel_from_pairs(a.n, a.n, pairs)
 
 
 def language_oracle(a: Nfa, maxlen: int) -> list:
@@ -183,6 +193,31 @@ def subsets_oracle(a: Nfa) -> list:
             row.append(index[succ])
         out.append((states, row, bool(states & terminal)))
     return out
+
+
+def transitions_oracle(rest: str, n: int):
+    """A transition line's text after the colon read token by token: the set
+    of its edges, or the message of its first bad token.  A token is
+    ``src->dst``, each end a run of the characters 0-9 that ``int`` reads
+    and that names one of n states."""
+    edges = set()
+    for token in rest.split():
+        src, arrow, dst = token.partition("->")
+        if arrow != "->":
+            return f"bad transition {token!r}, expected src->dst"
+        ends = []
+        for end in (src, dst):
+            if not end or set(end) - set("0123456789"):
+                return f"expected a state index, got {end!r}"
+            try:
+                value = int(end)
+            except ValueError:  # more digits than int() reads from text
+                return f"expected a state index, got {end!r}"
+            if value >= n:
+                return f"state index {value} out of range for {n} states"
+            ends.append(value)
+        edges.add(tuple(ends))
+    return edges
 
 
 def format_dfa_oracle(d) -> str:
@@ -226,7 +261,7 @@ def _automaton(n, alphabet, edges, initial, terminal) -> Nfa:
     return Nfa(
         n,
         alphabet,
-        {x: BoolRel.from_pairs(n, n, edges[x]) for x in alphabet},
+        {x: rel_from_pairs(n, n, edges[x]) for x in alphabet},
         [1 if q in initial else 0 for q in range(n)],
         [1 if q in terminal else 0 for q in range(n)],
     )
@@ -421,7 +456,7 @@ def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
         if nxt == pairs:
             break
         pairs = nxt
-    return [BoolRel.from_pairs(a.n, b.n, phi) for phi in seq]
+    return [rel_from_pairs(a.n, b.n, phi) for phi in seq]
 
 
 def refine_oracle(block, tables) -> list:
@@ -503,7 +538,7 @@ def weak_oracle(kind: str, a: Nfa, b: Nfa) -> tuple:
     failure = tuple(name for name, holds in cover if not holds)
     if failure:
         return pairs, None, failure
-    return pairs, BoolRel.from_pairs(a.n, b.n, related), None
+    return pairs, rel_from_pairs(a.n, b.n, related), None
 
 
 def weak_isomorphism_oracle(a: Nfa, b: Nfa, phi) -> bool:
@@ -632,6 +667,6 @@ def random_uniform_relation(rng, rows: int, cols: int) -> BoolRel:
 
 
 def random_functional_relation(rng, rows: int, cols: int) -> BoolRel:
-    return BoolRel.from_pairs(
+    return rel_from_pairs(
         rows, cols, [(a, rng.randrange(cols)) for a in range(rows)]
     )

@@ -75,6 +75,7 @@ from oracles import (
     random_functional_relation,
     random_uniform_relation,
     refines_oracle,
+    rel_from_pairs,
 )
 
 
@@ -113,7 +114,7 @@ def test_criterion_02_heterotypic_golden():
     # a strict sub-bisimulation; the set-based oracle confirms both matrices
     # and shows that the only pair left out, (0, 1), breaks the conditions.
     with_missing_pair = union(
-        HETERO_BFB_GREATEST, BoolRel.from_pairs(2, 3, [(0, 1)])
+        HETERO_BFB_GREATEST, rel_from_pairs(2, 3, [(0, 1)])
     )
     ok = (
         rep.relation == HETERO_BFB_GREATEST

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from nfabisim.automaton import (
     Nfa,
+    _index_lists,
     _refine,
+    _successors,
     _sum,
+    _sum_successors,
     accepts,
     factor,
     find_isomorphism,
@@ -20,7 +23,15 @@ from nfabisim.automaton import (
     reverse,
     sigma_u,
 )
-from nfabisim.bisim import BisimKind, check, greatest_fb_equivalence, greatest_forward_bisim
+from nfabisim.bisim import (
+    BisimKind,
+    backward_forward_bisim_steps,
+    check,
+    forward_bisim_steps,
+    greatest_fb_equivalence,
+    greatest_forward_bisim,
+)
+from nfabisim.cli import format_nfa, parse_nfa
 from nfabisim.equivalence import is_weak_forward_isomorphism
 from nfabisim.relcalc import (
     BoolRel,
@@ -53,6 +64,7 @@ from oracles import (
     random_partition,
     refine_oracle,
     refines_oracle,
+    rel_from_pairs,
     reverse_oracle,
     subautomaton_oracle,
     sum_oracle,
@@ -187,6 +199,107 @@ def test_reverse_language():
         assert set(language_oracle(reverse(a), 4)) == forward
 
 
+# --- successor index ---------------------------------------------------------
+
+
+def _from_masks(a):
+    return [_index_lists(a.delta[x]) for x in a.alphabet]
+
+
+def _shuffled_lines(rng, text, duplicate):
+    """The automaton text with each transition line's edges in random order,
+    and with some edges repeated."""
+    out = []
+    for line in text.splitlines():
+        head, colon, rest = line.partition(":")
+        if colon:
+            edges = rest.split()
+            edges += rng.sample(edges, min(duplicate, len(edges)))
+            rng.shuffle(edges)
+            line = f"{head}: {' '.join(edges)}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def test_parsed_automata_carry_the_index_of_their_masks():
+    # Sorted lines, the same edges shuffled, and shuffled with repeats all
+    # give the same masks and an index the parser filled, equal to the one
+    # built from the masks.
+    rng = random.Random(45)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        a = random_nfa(n, ("x", "y", "zz")[:rng.randint(1, 3)],
+                       rng.choice((0.0, 0.2, 0.5, 1.0)), rng.randrange(1 << 30))
+        text = format_nfa(a)
+        for variant in (text, _shuffled_lines(rng, text, 0), _shuffled_lines(rng, text, 3)):
+            b = parse_nfa(variant)
+            assert b == a
+            assert b._succ is not None and b._succ == _from_masks(b)
+            assert _successors(b) is b._succ
+
+
+def test_every_automaton_builds_the_index_of_its_masks_once():
+    rng = random.Random(46)
+    for _ in range(30):
+        alphabet = ("x", "y", "z")[:rng.randint(1, 3)]
+        a = random_nfa(rng.randint(1, 9), alphabet, rng.choice((0.2, 0.5)),
+                       rng.randrange(1 << 30))
+        e = random_partition(rng, a.n, rng.randint(1, a.n))
+        for c in (a, reverse(a), factor(a, e), parse_nfa(format_nfa(a))):
+            index = _successors(c)
+            assert index == _from_masks(c)
+            assert _successors(c) is index
+
+
+def test_the_index_of_a_sum_joins_those_of_its_parts():
+    # B declares its alphabet in another order: its lists are looked up by
+    # symbol, and A+B keeps A's order.  A's lists are shared, and a part
+    # without an index builds its own once.
+    rng = random.Random(47)
+    for _ in range(30):
+        alphabet = ("x", "y", "z")[:rng.randint(1, 3)]
+        a, b = (random_nfa(rng.randint(1, 8), alphabet, rng.choice((0.2, 0.5)),
+                           rng.randrange(1 << 30)) for _ in range(2))
+        b = Nfa(b.n, alphabet[::-1], b.delta, b.sigma, b.tau)
+        a = parse_nfa(format_nfa(a))
+        joined = _sum_successors(a, b)
+        assert joined == _from_masks(_sum(a, b))
+        assert all(mine is part
+                   for lists, own in zip(joined, a._succ)
+                   for mine, part in zip(lists, own))
+        assert b._succ is not None and _sum_successors(a, b) == joined
+        assert _sum(a, b)._succ is None
+
+
+def _frozen(index):
+    return [[tuple(row) for row in lists] for lists in index]
+
+
+def test_readers_leave_the_shared_lists_unchanged():
+    rng = random.Random(48)
+    for _ in range(30):
+        alphabet = ("x", "y")[:rng.randint(1, 2)]
+        n = rng.randint(2, 9)
+        a = random_nfa(n, alphabet, rng.choice((0.15, 0.4)), rng.randrange(1 << 30))
+        a = parse_nfa(format_nfa(a))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        b = parse_nfa(format_nfa(_relabel(a, perm)))
+        autos = (a, b, reverse(a), reverse(b))
+        before = [_frozen(_successors(c)) for c in autos]
+        s = _sum(a, b)
+        for _ in _refine([s.tau.mask >> i & 1 for i in range(s.n)], _sum_successors(a, b)):
+            pass
+        forward_bisim_steps(a, b)
+        backward_forward_bisim_steps(a, b)
+        backward_forward_bisim_steps(reverse(a), reverse(b))
+        a_reduced = factor(a, greatest_fb_equivalence(a))
+        find_isomorphism(a_reduced, a_reduced)
+        if a_reduced is a:
+            find_isomorphism(a, b)
+        assert [_frozen(_successors(c)) for c in autos] == before
+
+
 # --- factor automata ---------------------------------------------------------
 
 
@@ -308,7 +421,7 @@ def _relabel(a, perm):
     for i, p in enumerate(perm):
         inv[p] = i
     delta = {
-        x: BoolRel.from_pairs(
+        x: rel_from_pairs(
             a.n, a.n, [(perm[i], perm[j]) for i, j in a.delta[x].pairs()]
         )
         for x in a.alphabet
@@ -327,7 +440,7 @@ def _copies(c, count):
     k * c.n onwards."""
     n = c.n * count
     delta = {
-        x: BoolRel.from_pairs(n, n, [
+        x: rel_from_pairs(n, n, [
             (k * c.n + i, k * c.n + j)
             for k in range(count) for i, j in c.delta[x].pairs()
         ])
@@ -343,14 +456,14 @@ def _cycle_union(*sizes):
     for size in sizes:
         edges += [(base + i, base + (i + 1) % size) for i in range(size)]
         base += size
-    return Nfa(n, ("x",), {"x": BoolRel.from_pairs(n, n, edges)}, [1] * n, [0] * n)
+    return Nfa(n, ("x",), {"x": rel_from_pairs(n, n, edges)}, [1] * n, [0] * n)
 
 
 def _path(n):
     """States 0 to n-1 in a line on one symbol, 0 initial."""
     edges = [(i, i + 1) for i in range(n - 1)]
     mark = [1] + [0] * (n - 1)
-    return Nfa(n, ("x",), {"x": BoolRel.from_pairs(n, n, edges)}, mark, [0] * n)
+    return Nfa(n, ("x",), {"x": rel_from_pairs(n, n, edges)}, mark, [0] * n)
 
 
 def test_find_isomorphism_recovers_relabelling():
@@ -493,7 +606,7 @@ def test_find_isomorphism_on_equal_components_is_fast(spec, seed):
 def test_find_isomorphism_deeper_than_the_recursion_limit():
     limit = 200
     n = 2 * limit
-    chain = BoolRel.from_pairs(n, n, [(i, i + 1) for i in range(n - 1)])
+    chain = rel_from_pairs(n, n, [(i, i + 1) for i in range(n - 1)])
     a = Nfa(n, ("x",), {"x": chain}, [1] + [0] * (n - 1), [0] * (n - 1) + [1])
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
@@ -519,7 +632,7 @@ def test_find_isomorphism_matches_initial_and_terminal_states(marks):
 def _ring(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
     mark = [1] + [0] * (n - 1)
-    return Nfa(n, ("x",), {"x": BoolRel.from_pairs(n, n, edges)}, mark, mark)
+    return Nfa(n, ("x",), {"x": rel_from_pairs(n, n, edges)}, mark, mark)
 
 
 @pytest.mark.parametrize(
@@ -553,7 +666,7 @@ def test_find_isomorphism_rejects_colours_that_part_late():
             edges += [(base + i, base + (i + 1) % size) for i in range(size)]
             marks.append(base)
             base += size
-        rel = BoolRel.from_pairs(base, base, edges)
+        rel = rel_from_pairs(base, base, edges)
         tau = [1 if i in marks else 0 for i in range(base)]
         return Nfa(base, ("x",), {"x": rel}, [0] * base, tau)
 

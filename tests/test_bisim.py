@@ -62,6 +62,7 @@ from oracles import (
     join_oracle,
     language_oracle,
     refines_oracle,
+    rel_from_pairs,
     reverse_oracle,
     right_language_oracle,
     weak_oracle,
@@ -292,7 +293,7 @@ def _line(n, closed, alphabet=("a", "b")):
     other symbol looping on every state; a ring's state 0 is initial and
     terminal, a chain runs from 0 to n - 1."""
     step = [(q, q + 1) for q in range(n - 1)] + ([(n - 1, 0)] if closed else [])
-    delta = {alphabet[0]: BoolRel.from_pairs(n, n, step)}
+    delta = {alphabet[0]: rel_from_pairs(n, n, step)}
     for x in alphabet[1:]:
         delta[x] = BoolRel(n, n, [1 << q for q in range(n)])
     return Nfa(n, alphabet, delta, [q == 0 for q in range(n)],
@@ -307,7 +308,7 @@ def _automata(draw, alphabet):
     n = draw(st.integers(1, 6))
     states = st.integers(0, n - 1)
     delta = {
-        x: BoolRel.from_pairs(n, n, draw(st.sets(st.tuples(states, states))))
+        x: rel_from_pairs(n, n, draw(st.sets(st.tuples(states, states))))
         for x in alphabet
     }
     sigma, tau = draw(st.sets(states)), draw(st.sets(states))
@@ -335,7 +336,7 @@ _EMPTIES_LATE = (Nfa(2, ("a",), {"a": [[0, 1], [0, 0]]}, [1, 0], [1, 1]),
 _STABLE_EARLY = (
     Nfa(1, ("a",), {"a": [[0]]}, [1], [0]),
     Nfa(7, ("a",),
-        {"a": BoolRel.from_pairs(7, 7, [(q, q + 1) for q in range(1, 6)])},
+        {"a": rel_from_pairs(7, 7, [(q, q + 1) for q in range(1, 6)])},
         [q == 1 for q in range(7)], [q == 6 for q in range(7)]),
 )
 
@@ -363,7 +364,7 @@ def test_fb_steps_stop_when_phi_repeats_not_when_blocks_do():
 def _sparse(rng, n, alphabet):
     """Random automaton with zero to two successors per state and symbol."""
     delta = {
-        x: BoolRel.from_pairs(n, n, [(q, rng.randrange(n)) for q in range(n)
+        x: rel_from_pairs(n, n, [(q, rng.randrange(n)) for q in range(n)
                                      for _ in range(rng.randint(0, 2))])
         for x in alphabet
     }
@@ -383,7 +384,7 @@ def _blown_up(rng, a, extra):
     alphabet = list(a.alphabet)
     rng.shuffle(alphabet)
     delta = {
-        x: BoolRel.from_pairs(n, n, [
+        x: rel_from_pairs(n, n, [
             (perm[q], perm[t])
             for q in range(n)
             for t in range(a.n)
@@ -614,7 +615,7 @@ def _small_automata(draw):
     n = draw(st.integers(1, 9))
     states = st.integers(0, n - 1)
     delta = {
-        x: BoolRel.from_pairs(n, n, draw(st.sets(st.tuples(states, states))))
+        x: rel_from_pairs(n, n, draw(st.sets(st.tuples(states, states))))
         for x in alphabet
     }
     sigma, tau = draw(st.sets(states)), draw(st.sets(states))
@@ -834,7 +835,7 @@ def _pooled(rng, n, alphabet, copy=None):
         | {q for q in range(base, n) if rng.random() < 0.3}
         for vec in ("sigma", "tau")
     ]
-    delta = {x: BoolRel.from_pairs(n, n, p) for x, p in pairs.items()}
+    delta = {x: rel_from_pairs(n, n, p) for x, p in pairs.items()}
     return Nfa(n, alphabet, delta, *([q in vec for q in range(n)] for vec in boundary))
 
 

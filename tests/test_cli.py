@@ -2,8 +2,11 @@ import dataclasses
 import io
 import os
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfabisim import automaton, bisim, cli, equivalence, selftest
 from nfabisim.automaton import factor, find_isomorphism, random_nfa
@@ -21,7 +24,7 @@ from nfabisim.nerode import Dfa, nerode, reverse_nerode
 from nfabisim.relcalc import BoolRel, BoolVec, Partition
 
 from goldens import FWD_PHI2, GOLDEN_AUTOMATA
-from oracles import format_dfa_oracle, language_oracle
+from oracles import format_dfa_oracle, language_oracle, transitions_oracle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -236,6 +239,82 @@ def test_cmd_equiv_fb(capsys):
     assert code == 0
     assert out.startswith("EQUIVALENT")
     assert "11000" in out  # witness relation is printed
+
+
+@pytest.mark.parametrize("kind", sorted(cli._GREATEST))
+def test_greatest_relations_reject_another_alphabet(tmp_path, capsys, kind):
+    paths = []
+    for x in ("x", "y"):
+        path = tmp_path / f"{x}.nfa"
+        path.write_text(f"states 2\nalphabet {x}\ninitial 0\nterminal 1\n{x}: 0->1\n")
+        paths.append(str(path))
+    assert main(["bisim", "--kind", kind, *paths]) == 2
+    assert capsys.readouterr().err == "error: alphabet mismatch: ['x'] vs ['y']\n"
+
+
+def _sparse_text(rng, n, perm, shuffle):
+    """A random automaton with two successors per state and symbol, its
+    states renamed by perm, as text: transitions sorted, or shuffled."""
+    lines = [f"states {n}", "alphabet a b", f"initial {perm[0]}",
+             f"terminal {perm[n - 1]} {perm[n // 2]}"]
+    for x in ("a", "b"):
+        edges = [(perm[i], perm[j]) for i in range(n)
+                 for j in sorted({(i + 1) % n, rng.randrange(n)})]
+        if shuffle:
+            rng.shuffle(edges)
+        else:
+            edges.sort()
+        lines.append(f"{x}:" + "".join(f" {i}->{j}" for i, j in edges))
+    return "\n".join(lines) + "\n"
+
+
+def _index_builds(monkeypatch):
+    """The relations ``automaton._index_lists`` turns into index lists from
+    now on."""
+    built = []
+    original = automaton._index_lists
+
+    def counting(rel):
+        built.append(rel)
+        return original(rel)
+
+    monkeypatch.setattr(automaton, "_index_lists", counting)
+    return built
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_equiv_fb_reads_each_automatons_edges_once(tmp_path, monkeypatch, capsys, shuffle):
+    # Route 1 refines over A+B, each self-equivalence over A or B alone, and
+    # route 2 over the sum of the factors, which on reduced inputs are A and
+    # B themselves.  Every one of them reads the indices the parser filled,
+    # or the two joined, so no index is built from masks.
+    n = 60
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    paths = []
+    for name, labels in (("a", range(n)), ("b", perm)):
+        path = tmp_path / f"{name}.nfa"
+        path.write_text(_sparse_text(random.Random(0), n, labels, shuffle))
+        paths.append(str(path))
+    a = parse_nfa(open(paths[0]).read())
+    assert bisim.greatest_fb_equivalence(a).num_classes == n
+    built = _index_builds(monkeypatch)
+    assert main(["equiv", "--mode", "fb", *paths]) == 0
+    assert capsys.readouterr().out.startswith("EQUIVALENT")
+    assert built == []
+
+
+def test_equiv_fb_builds_a_factors_index_once_per_symbol(tmp_path, monkeypatch, capsys):
+    # Copies of one ring collapse, so route 2 matches factors the parser
+    # never saw: each factor builds its index from its masks, once per
+    # symbol, and their sum joins the two.
+    ring = "".join(f" {i}->{(i + 1) % 4} {4 + i}->{4 + (i + 1) % 4}" for i in range(4))
+    path = tmp_path / "rings.nfa"
+    path.write_text(f"states 8\nalphabet a\ninitial 0 4\nterminal 0 4\na:{ring}\n")
+    built = _index_builds(monkeypatch)
+    assert main(["equiv", "--mode", "fb", str(path), str(path)]) == 0
+    capsys.readouterr()
+    assert len(built) == 2 and [rel.rows for rel in built] == [4, 4]
 
 
 def test_cmd_equiv_lang_is_exact_beyond_short_words(tmp_path, capsys):
@@ -633,6 +712,100 @@ def test_over_long_numbers_are_parse_errors(tmp_path, capsys):
     assert f"bad.rel:1: bad header {_LONG + ' 5'!r}" in capsys.readouterr().err
     with pytest.raises(ParseError):
         parse_rel(f"3 {_LONG}\n000\n000\n000\n")
+
+
+# Malformed transition lines, each with the message of its first bad token.
+_BAD_TRANSITIONS = [
+    ("1->->2", "expected a state index, got '->2'"),
+    ("->5", "expected a state index, got ''"),
+    ("1->", "expected a state index, got ''"),
+    ("5->", "state index 5 out of range for 5 states"),
+    ("12 3->4->5", "bad transition '12', expected src->dst"),
+    ("+1->2", "expected a state index, got '+1'"),
+    ("0_2->1", "expected a state index, got '0_2'"),
+    ("١->0", "expected a state index, got '١'"),
+    ("0->1 2->9", "state index 9 out of range for 5 states"),
+    ("0->1 005->0", "state index 5 out of range for 5 states"),
+    (f"0->1 {_LONG}->1", f"expected a state index, got {_LONG!r}"),
+    ("0->1 1->2 bad", "bad transition 'bad', expected src->dst"),
+    ("0->1\u2003->2", "expected a state index, got ''"),
+    ("0->1->", "expected a state index, got '1->'"),
+]
+
+
+@pytest.mark.parametrize("line, message", _BAD_TRANSITIONS)
+def test_malformed_transition_lines_raise_the_first_bad_tokens_error(
+    tmp_path, capsys, line, message
+):
+    text = f"states 5\nalphabet x y\ninitial 0\nterminal 4\ny: 0->0\nx: {line}\n"
+    with pytest.raises(ParseError) as err:
+        parse_nfa(text, "t.nfa")
+    assert str(err.value) == f"t.nfa:6: {message}"
+    bad = tmp_path / "bad.nfa"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["reduce", "--mode", "fb", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:6: {message}\n"
+
+
+@pytest.mark.parametrize("line, edges", [
+    ("007->1 1->0", {(7, 1), (1, 0)}),
+    ("0->1\t2->3 \t 4->5", {(0, 1), (2, 3), (4, 5)}),
+    ("0->1\u20032->3\u2003", {(0, 1), (2, 3)}),
+    ("3->1 0->2 3->1 0->2 0->1", {(0, 1), (0, 2), (3, 1)}),
+    ("", set()),
+])
+def test_odd_but_valid_transition_lines(line, edges):
+    a = parse_nfa(f"states 8\nalphabet x\ninitial 0\nterminal\nx: {line}\n")
+    assert set(a.delta["x"].pairs()) == edges
+    assert a._succ == [automaton._index_lists(a.delta["x"])]
+
+
+# Transition lines: well-formed tokens, leading zeros and all, and junk of
+# token pieces and of any character that neither starts a comment nor ends a
+# line, separated by whitespace that ``str.split`` splits at.  Small indices
+# come twice as often, so most well-formed lines are in range.
+_END = st.sampled_from(["0", "1", "2", "0", "1", "2", "3", "007", "12"])
+_EDGE = st.builds("{}->{}".format, _END, _END)
+_JUNK = st.lists(
+    st.sampled_from(["0", "1", "->", "-", ">", "+", "_", "١", ":"])
+    | st.characters().filter(lambda c: c != "#" and len(f"a{c}a".splitlines()) == 1),
+    min_size=1, max_size=4,
+).map("".join)
+_SPACE = st.lists(
+    st.sampled_from([" ", "\t", "\u2003", "\xa0", "\x1f"]), min_size=1, max_size=2
+).map("".join)
+
+
+@st.composite
+def _transition_lines(draw):
+    line = draw(st.just("") | _SPACE)
+    tokens = st.integers(0, 7).flatmap(lambda k: _JUNK if k == 0 else _EDGE)
+    for token in draw(st.lists(tokens, max_size=6)):
+        line += token + draw(_SPACE)
+    return line
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_transition_lines(), st.sampled_from([13, 8, 4, 2]))
+def test_transition_lines_read_as_the_per_token_reference_reads_them(line, n):
+    text = f"states {n}\nalphabet x y\ninitial 0\nterminal\ny: 0->0\nx: {line}\n"
+    expected = transitions_oracle(line, n)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as err:
+            parse_nfa(text, "t.nfa")
+        assert str(err.value) == f"t.nfa:6: {expected}"
+    else:
+        a = parse_nfa(text)
+        assert set(a.delta["x"].pairs()) == expected
+        assert a._succ == [automaton._index_lists(a.delta[x]) for x in a.alphabet]
+
+
+def test_re_whitespace_is_exactly_str_isspace():
+    # The bulk check of a transition line matches whitespace with ``\s`` and
+    # then splits the line with ``str.split``.
+    space = re.compile(r"\s")
+    chars = list(map(chr, range(0x110000)))
+    assert [c for c in chars if space.match(c)] == [c for c in chars if c.isspace()]
 
 
 def test_state_count_limit_is_inclusive():

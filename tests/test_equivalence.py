@@ -52,6 +52,7 @@ from oracles import (
     random_functional_relation,
     random_uniform_relation,
     refines_oracle,
+    rel_from_pairs,
 )
 
 
@@ -114,7 +115,7 @@ def _sparse_and_relabelled(n, seed):
         terminal = {name[t] for t in tau}
         return Nfa(
             n, ("a", "b"),
-            {x: BoolRel.from_pairs(n, n, [(name[p], name[q]) for p, q in pairs])
+            {x: rel_from_pairs(n, n, [(name[p], name[q]) for p, q in pairs])
              for x, pairs in edges.items()},
             [name[0] == q for q in range(n)],
             [q in terminal for q in range(n)],
@@ -140,7 +141,7 @@ def _line(n, closed, name=None):
     first, last = name[0], name[0 if closed else n - 1]
     return Nfa(
         n, ("a", "b"),
-        {"a": BoolRel.from_pairs(n, n, [(name[p], name[q]) for p, q in step]),
+        {"a": rel_from_pairs(n, n, [(name[p], name[q]) for p, q in step]),
          "b": BoolRel(n, n, [1 << q for q in range(n)])},
         [q == first for q in range(n)],
         [q == last for q in range(n)],
@@ -225,7 +226,7 @@ def _language_pairs(draw):
 
     def build(alphabet, n, delta, sigma, tau):
         return Nfa(n, alphabet,
-                   {x: BoolRel.from_pairs(n, n, delta[x]) for x in alphabet},
+                   {x: rel_from_pairs(n, n, delta[x]) for x in alphabet},
                    [q in sigma for q in range(n)], [q in tau for q in range(n)])
 
     alphabet = ("x", "y")[:draw(st.integers(1, 2))]
@@ -381,7 +382,7 @@ def test_uniform_bfb_crosscheck_natural_function():
     for a in (FWD_B, WEAK_A):
         part = greatest_fb_equivalence(a)
         quotient = factor(a, part)
-        nat = BoolRel.from_pairs(
+        nat = rel_from_pairs(
             a.n, quotient.n, [(i, part.class_of[i]) for i in range(a.n)]
         )
         fb_report = uniform_fb_crosscheck(a, quotient, nat)
@@ -407,7 +408,7 @@ def test_function_checks_agree_on_natural_functions():
     for a in (FWD_B, LANG_A):
         part = greatest_fb_equivalence(a)
         quotient = factor(a, part)
-        nat = BoolRel.from_pairs(
+        nat = rel_from_pairs(
             a.n, quotient.n, [(i, part.class_of[i]) for i in range(a.n)]
         )
         assert function_fb_iff_bfb(a, quotient, nat)

@@ -17,6 +17,7 @@ from oracles import (
     _members,
     dfa_isomorphism_oracle,
     language_oracle,
+    rel_from_pairs,
     reverse_oracle,
     subsets_oracle,
     sum_oracle,
@@ -101,7 +102,7 @@ def _automaton(n, pairs, initial, terminal):
     return Nfa(
         n,
         tuple(pairs),
-        {x: BoolRel.from_pairs(n, n, p) for x, p in pairs.items()},
+        {x: rel_from_pairs(n, n, p) for x, p in pairs.items()},
         [int(q in initial) for q in range(n)],
         [int(q in terminal) for q in range(n)],
     )

@@ -52,6 +52,7 @@ from oracles import (
     partial_uniform_oracle,
     quotient_partition_oracle,
     random_uniform_relation,
+    rel_from_pairs,
     residual_left_oracle,
     residual_right_oracle,
 )
@@ -111,7 +112,7 @@ def test_rel_round_trip():
     r = BoolRel.from_bits([[0, 1], [1, 1], [0, 0]])
     assert r.bits() == ((0, 1), (1, 1), (0, 0))
     assert r.pairs() == ((0, 1), (1, 0), (1, 1))
-    assert BoolRel.from_pairs(3, 2, r.pairs()) == r
+    assert rel_from_pairs(3, 2, r.pairs()) == r
     assert r.to_text() == "01\n11\n00"
     rng = random.Random(12)
     for cols in (1, 64, 65, 130):
@@ -267,7 +268,7 @@ def test_preimage_tables_and_string_transpose_match_rel_vec_and_inverse():
         else:
             pairs = [(a, b) for a in range(rows) for b in range(cols)
                      if rng.random() < 0.3]
-        r = BoolRel.from_pairs(rows, cols, pairs)
+        r = rel_from_pairs(rows, cols, pairs)
         image = _unions(r.row_masks)
         preimage = _unions(inverse(r).row_masks)
         for mask in _selectors(rng, rows):
