@@ -6,17 +6,18 @@ its per-symbol residual bounds round by round until stable, then test the two
 covering conditions that the fixpoint cannot enforce.  For fb every round is
 one round of partition refinement over the disjoint union of the two
 automata, which re-keys only the predecessors of the states the round before
-moved once those are few.  For bfb each round after the first re-tests, row
-by row and column by column, only the witnesses that the round before
-removed.  Both return the paper's exact sequence of relations.  bb and fbb
-are fb and bfb on the reversed automata, which swap the initial and terminal
-vectors; their covering conditions are named and tested on A and B
-themselves.  The weak kinds read the finitely many reachable vector pairs
-instead, found by the one breadth-first subset search (``nerode._subsets``)
-that also determinizes: the weak forward kinds the terminal-vector pairs, the
-subsets of the reversed disjoint union A+B, and the weak backward kinds the
-initial-vector pairs, the subsets of A+B itself.  They compare the states'
-membership signatures over them.
+moved once those are few.  For bfb phi is kept once, as row masks, and both
+conditions are read from rows; each round after the first re-tests only the
+rows above and below a row that the round before took pairs out of, and
+only at the states those pairs can have cost.  Both return the paper's exact
+sequence of relations.  bb and fbb are fb and bfb on the reversed automata,
+which swap the initial and terminal vectors; their covering conditions are
+named and tested on A and B themselves.  The weak kinds read the finitely
+many reachable vector pairs instead, found by the one breadth-first subset
+search (``nerode._subsets``) that also determinizes: the weak forward kinds
+the terminal-vector pairs, the subsets of the reversed disjoint union A+B,
+and the weak backward kinds the initial-vector pairs, the subsets of A+B
+itself.  They compare the states' membership signatures over them.
 
 Condition names used in reports:
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .automaton import (
     Nfa,
@@ -257,130 +259,58 @@ def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
     return CheckResult(kind, all(ok for _, ok in conds), tuple(conds))
 
 
-def _lost_witnesses(lines, removed, top, sides) -> dict:
-    """Pairs (i, j) of phi_k, as a mask of j per line i, for which some
-    symbol breaks N(j) <= U(i), the union of lines[u] over u in N(i).
+def _lost_witnesses(rows, gone, top, sides) -> dict:
+    """Pairs (a, b) of phi_k = ``rows``, as a mask of b per row a, that
+    break the row or the column condition of some symbol against phi_k.
 
-    ``removed`` holds the pairs that the round before took out, by line, or
-    is None in round 0, where every line is checked in full.  Otherwise only
-    the lines i that select a removed line u are checked, and only for the
-    states those removals took out of U(i): ``lost & ~U(i)``."""
-    union = _unions(lines)
-    if removed is None:
-        lost = {i: top for i, m in enumerate(lines) if m}
+    ``gone`` holds the pairs that the round before took out, by row, or is
+    None in round 0, which tests every row in full.  Otherwise the row
+    condition is re-tested only in the rows a above a row u that lost pairs,
+    at the states those took out of U(a), and the column condition only in
+    the rows below u, at the states of Img_B(gone[u]) that no B-predecessor
+    in row u of phi_k keeps in Img_B(row u)."""
     out = {}
-    for select, selected_by, fails_on in sides:
-        if removed is not None:
-            lost = {}
-            for u, m in removed.items():
-                for i in selected_by[u]:
+    for succ, pred, image, preimage in sides:
+        # lost: per row a, the states U(a) may have lost; dead: per row u,
+        # the states that left Img_B(row u) and so fail below u.
+        if gone is None:
+            # phi_0 has at most four distinct rows, so round 0 takes the
+            # unions of few distinct selectors, each once.
+            image, preimage = cache(image), cache(preimage)
+            lost = {i: top for i, m in enumerate(rows) if m}
+            dead = {u: top & ~image(m) for u, m in enumerate(rows) if succ[u]}
+        else:
+            lost, dead = {}, {}
+            for u, m in gone.items():
+                for i in pred[u]:
                     lost[i] = lost.get(i, 0) | m
+                below = 0
+                for i in succ[u]:
+                    below |= rows[i]
+                cand = image(m) & below if below else 0
+                keep = rows[u] & preimage(cand) if cand else 0
+                if keep:
+                    cand &= ~image(keep)
+                if cand:
+                    dead[u] = cand
         for i, m in lost.items():
-            miss = m & ~union(select[i])
-            if miss:
-                hit = fails_on(miss) & lines[i]
+            for u in succ[i]:
+                m &= ~rows[u]
+            hit = preimage(m) & rows[i] if m and rows[i] else 0
+            if hit:
+                out[i] = out.get(i, 0) | hit
+        for u, d in dead.items():
+            for i in succ[u]:
+                hit = rows[i] & d
                 if hit:
                     out[i] = out.get(i, 0) | hit
     return out
-
-
-def _take_out(pairs, lines, others, gone_lines, gone_others) -> None:
-    """Remove the pairs (i, j), given as a mask of j per line i, that phi
-    still holds.  phi is kept twice, as ``lines`` and as their transpose
-    ``others``, and the pairs removed are added to ``gone_lines`` and
-    ``gone_others`` in the same two forms."""
-    for i, m in pairs.items():
-        m &= lines[i]
-        if not m:
-            continue
-        lines[i] ^= m
-        gone_lines[i] = gone_lines.get(i, 0) | m
-        bit = 1 << i
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            others[j] ^= bit
-            gone_others[j] = gone_others.get(j, 0) | bit
-            m ^= low
 
 
 def _loops_only(rel: BoolRel) -> bool:
     """Whether rel lies inside the identity: each state steps to itself or
     nowhere."""
     return all(not m & ~(1 << i) for i, m in enumerate(rel.row_masks))
-
-
-def _shrink(phi: BoolRel, phi_inv: BoolRel, a: Nfa, b: Nfa) -> list:
-    """The paper's shrinking sequence phi_0, phi_1, ... for the greatest
-    backward-forward bisimulation, from phi = phi_0 and phi_inv = phi_0^-1.
-
-    For every symbol x, with S and P the x-successors and x-predecessors, a
-    pair (a, b) stays in the next round when
-      over rows:    S(b) <= U(a), the union of row u of phi over u in S(a)
-      over columns: P(a) <= V(b), the union of column v of phi over v in P(b)
-    which are the bounds residual_left(delta_A o phi, delta_B) and
-    residual_right(phi o delta_B, delta_A).  A bfb is not an equivalence, so
-    unlike the forward rounds (``forward_bisim_steps``) this fixpoint removes
-    pairs, not blocks.
-
-    Each round removes, all at once, the pairs of phi_k that break a
-    condition against phi_k; the sequence ends once a round removes nothing
-    (its last two relations coincide) or phi is empty.  Round 0 checks
-    every row and column in full.  Later rounds are semi-naive (Henzinger,
-    Henzinger & Kopke, 1995, without their per-pair counters): a pair of
-    phi_k passed the round before, so S(b) <= U_{k-1}(a), and it breaks the
-    row condition now exactly when S(b) meets U_{k-1}(a) minus U_k(a).
-    That set is ``lost & ~U_k(a)``, with ``lost`` the union of the removed
-    parts of the rows u in S(a), so only rows a above a removed row are
-    re-tested, and a fails at the B-preimage of that set.  Columns are the
-    mirror image.
-
-    A symbol that only loops, its relation inside the identity on A and on
-    B, is checked in round 0 and dropped after it.  For such a symbol S(a)
-    is {a} or empty, so U_k(a) is row a of phi_k or empty, and S(b) is {b}
-    or empty.  A pair (a, b) of phi_k has b in row a, so it keeps the row
-    condition exactly when b loops only if a does, whatever k is; the
-    column condition is the mirror image, a loops only if b does.  A pair
-    that survives round 0 thus never breaks either condition of that
-    symbol again, and the semi-naive re-test, which would re-test each
-    removed row against itself, could find nothing.  Every round thus
-    removes the paper's pairs and no others.
-    """
-    _require_same_alphabet(a, b)
-    # Per symbol, what each condition reads: each line's selector mask, the
-    # lines that select each state, and the union function that turns missed
-    # states into the other side's failing ones.  Rows select by A's
-    # successors and fail at B's preimages; columns select by B's
-    # predecessors and fail at A's images.
-    row_sides, col_sides, moving = [], [], []
-    back_a, back_b = reverse(a), reverse(b)
-    succ_b = dict(zip(b.alphabet, _successors(b)))
-    for x, pred_a in zip(a.alphabet, _successors(back_a)):
-        fa, fb = a.delta[x], b.delta[x]
-        rb = back_b.delta[x]
-        row_sides.append((fa.row_masks, pred_a, _unions(rb.row_masks)))
-        col_sides.append((rb.row_masks, succ_b[x], _unions(fa.row_masks)))
-        moving.append(not (_loops_only(fa) and _loops_only(fb)))
-    top_a, top_b = (1 << a.n) - 1, (1 << b.n) - 1
-    rows = list(phi.row_masks)
-    cols = list(phi_inv.row_masks)
-    gone_rows = gone_cols = None
-    seq = [phi]
-    while any(rows):
-        by_row = _lost_witnesses(rows, gone_rows, top_b, row_sides)
-        by_col = _lost_witnesses(cols, gone_cols, top_a, col_sides)
-        if gone_rows is None:
-            # After round 0 a symbol that only loops removes nothing.
-            row_sides = [s for s, keep in zip(row_sides, moving) if keep]
-            col_sides = [s for s, keep in zip(col_sides, moving) if keep]
-        # Both conditions read phi_k; a pair both find is taken out once.
-        gone_rows, gone_cols = {}, {}
-        _take_out(by_row, rows, cols, gone_rows, gone_cols)
-        _take_out(by_col, cols, rows, gone_cols, gone_rows)
-        seq.append(BoolRel(a.n, b.n, rows))
-        if not gone_rows:
-            break
-    return seq
 
 
 def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
@@ -422,12 +352,72 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
 
 
 def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
-    """Candidate sequence for the greatest backward-forward bisimulation."""
-    return _shrink(
-        intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau)),
-        intersect(arrow_left(b.sigma, a.sigma), arrow_right(b.tau, a.tau)),
-        a, b,
-    )
+    """The paper's shrinking sequence phi_0, phi_1, ... for the greatest
+    backward-forward bisimulation, from phi_0 = (sigma_A -> sigma_B) &
+    (tau_A <- tau_B).
+
+    For every symbol x, with S and P the x-successors and x-predecessors, a
+    pair (a, b) stays in the next round when
+      over rows:    S(b) <= U(a), the union of row u of phi over u in S(a)
+      over columns: P(a) <= V(b), the union of column v of phi over v in P(b)
+    which are the bounds residual_left(delta_A o phi, delta_B) and
+    residual_right(phi o delta_B, delta_A).  A bfb is not an equivalence, so
+    unlike the forward rounds this fixpoint removes pairs, not blocks.  phi
+    is kept once, as row masks: P(a) <= V(b) holds exactly when P(b) meets
+    row a' for every a' in P(a), that is, when b lies in each Img_B(row a'),
+    the x-successors in B of the states of row a'.
+
+    Each round removes, all at once, the pairs of phi_k that break a
+    condition against phi_k; the sequence ends once a round removes nothing
+    or phi is empty.  Round 0 tests each row a against U(a), and ANDs each
+    Img_B(row u) into the rows of u's successors.  Later rounds are
+    semi-naive (Henzinger, Henzinger & Kopke, 1995, without their per-pair
+    counters): a pair of phi_k passed the round before, so S(b) <=
+    U_{k-1}(a), and it breaks the row condition now exactly when S(b) meets
+    U_{k-1}(a) minus U_k(a), the removed parts of the rows u in S(a) minus
+    U_k(a); so only rows above a removed row are re-tested.  Likewise b lay
+    in Img_B(row u) of phi_{k-1} for each u in P(a), and it leaves Img_B(row
+    u) of phi_k only if P(b) meets the removed part of row u; so only rows
+    below a removed row are re-tested, at Img_B of that part.
+
+    A symbol that only loops, its relation inside the identity on A and on
+    B, is tested in round 0 and dropped after it.  For such a symbol S(a)
+    and P(a) are {a} or empty, so U_k(a) is row a of phi_k or empty, and
+    Img_B(row a) of phi_k holds the states of row a that loop.  A pair
+    (a, b) of phi_k has b in row a, so it keeps the row condition exactly
+    when b loops only if a does, and the column condition exactly when a
+    loops only if b does, whatever k is.  A pair that survives round 0 thus
+    never breaks that symbol's conditions again, and every round removes
+    the paper's pairs and no others.
+    """
+    _require_same_alphabet(a, b)
+    # Per symbol, what both conditions read: A's successor and predecessor
+    # lists and the union functions of B's successor masks (Img_B) and of
+    # its predecessor masks (the B-preimage); and whether it only loops.
+    sides, moving = [], []
+    back_b = reverse(b)
+    for x, succ, pred in zip(a.alphabet, _successors(a), _successors(reverse(a))):
+        fb, rb = b.delta[x], back_b.delta[x]
+        sides.append((succ, pred, _unions(fb.row_masks), _unions(rb.row_masks)))
+        moving.append(not (_loops_only(a.delta[x]) and _loops_only(fb)))
+    top = (1 << b.n) - 1
+    phi = intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau))
+    rows = list(phi.row_masks)
+    gone = None
+    seq = [phi]
+    while any(rows):
+        out = _lost_witnesses(rows, gone, top, sides)
+        if gone is None:
+            # After round 0 a symbol that only loops removes nothing.
+            sides = [s for s, keep in zip(sides, moving) if keep]
+        # Every pair found is still in phi_k: one XOR per row takes it out.
+        for i, m in out.items():
+            rows[i] ^= m
+        gone = out
+        seq.append(BoolRel(a.n, b.n, rows))
+        if not gone:
+            break
+    return seq
 
 
 def _report(kind, a, b, phi, iterations, cover) -> BisimReport:

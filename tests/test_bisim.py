@@ -452,14 +452,14 @@ def _partial_identity(rng, n, share):
 
 @pytest.fixture
 def bfb_sides(monkeypatch):
-    """Per ``_lost_witnesses`` call of the bfb rounds, whether it is round
-    0's and how many symbols it tests."""
+    """Per bfb round, one ``_lost_witnesses`` call that tests both
+    conditions: whether it is round 0 and how many symbols it tests."""
     seen = []
     real = bisim._lost_witnesses
 
-    def spy(lines, removed, top, sides):
-        seen.append((removed is None, len(sides)))
-        return real(lines, removed, top, sides)
+    def spy(rows, gone, top, sides):
+        seen.append((gone is None, len(sides)))
+        return real(rows, gone, top, sides)
 
     monkeypatch.setattr(bisim, "_lost_witnesses", spy)
     return seen
@@ -483,8 +483,8 @@ def test_bfb_drops_symbols_that_only_loop_after_round_zero(bfb_sides):
         bfb_sides.clear()
         steps = backward_forward_bisim_steps(a, b)
         assert steps == fixpoint_steps_oracle("bfb", a, b)
-        assert bfb_sides[:2] == [(True, 3), (True, 3)]
-        assert bfb_sides[2:] == [(False, 2)] * (len(bfb_sides) - 2)
+        assert bfb_sides[:1] == [(True, 3)]
+        assert bfb_sides[1:] == [(False, 2)] * (len(bfb_sides) - 1)
         deep += len(steps) > 3
     assert deep >= 10
     # The rings and chains of the benchmark: "b" loops on every state.
@@ -495,8 +495,8 @@ def test_bfb_drops_symbols_that_only_loop_after_round_zero(bfb_sides):
         steps = backward_forward_bisim_steps(a, b)
         assert steps == fixpoint_steps_oracle("bfb", a, b)
         assert len(steps) > n // 2
-        assert bfb_sides[:2] == [(True, 2), (True, 2)]
-        assert bfb_sides[2:] == [(False, 1)] * (len(bfb_sides) - 2)
+        assert bfb_sides[:1] == [(True, 2)]
+        assert bfb_sides[1:] == [(False, 1)] * (len(bfb_sides) - 1)
 
 
 def test_bfb_keeps_symbols_that_loop_on_one_side_only(bfb_sides):
@@ -517,6 +517,51 @@ def test_bfb_keeps_symbols_that_loop_on_one_side_only(bfb_sides):
         steps = backward_forward_bisim_steps(a, b)
         assert steps == fixpoint_steps_oracle("bfb", a, b)
         assert all(count == 2 for _, count in bfb_sides)
+
+
+def _unmarked(n, alphabet, edges):
+    """An automaton with no initial and no terminal state, so that bfb's
+    phi_0 against another such automaton holds every pair."""
+    delta = {x: rel_from_pairs(n, n, edges[x]) for x in alphabet}
+    return Nfa(n, alphabet, delta, [0] * n, [0] * n)
+
+
+# Corners of the row-form conditions, each with the pair counts of its bfb
+# rounds.  Every case is its own reversal up to relabelling, so fbb, the
+# same rounds on the reversed automata, meets the same corner.
+_ROW_FORM_CORNERS = [
+    # A is the chain 0 -> 1 -> 2, B one state with a loop.  Row 2 holds B's
+    # state, which steps, while A's state 2 does not: round 0 removes that
+    # pair, though no successor row of 2 lost anything.
+    pytest.param(_unmarked(3, ("a",), {"a": [(0, 1), (1, 2)]}),
+                 _unmarked(1, ("a",), {"a": [(0, 0)]}),
+                 [3, 2, 1, 0], id="no-successor"),
+    # A steps 0 -> 1 -> 2 and loops on 1 by "a", and only 1 loops by "b"; B
+    # is one state looping on both.  Round 0 empties rows 0 and 2, whose
+    # states have no "b" step.  Row 1 then meets the row condition, but its
+    # predecessor row 0 is empty, so Img_B(row 0) is empty too and round 1
+    # empties row 1 by the column condition alone.
+    pytest.param(_unmarked(3, ("a", "b"),
+                           {"a": [(0, 1), (1, 1), (1, 2)], "b": [(1, 1)]}),
+                 _unmarked(1, ("a", "b"), {"a": [(0, 0)], "b": [(0, 0)]}),
+                 [3, 1, 0], id="predecessor-row-empties"),
+    # A is one state with a loop; B steps 1 -> 0 and 0 -> 2 and loops on 0.
+    # B's state 1 has no predecessor, so it lies in no Img_B(row), while
+    # A's state has one: round 0 removes the pair by the column condition.
+    pytest.param(_unmarked(1, ("a",), {"a": [(0, 0)]}),
+                 _unmarked(3, ("a",), {"a": [(1, 0), (0, 0), (0, 2)]}),
+                 [3, 2, 2], id="no-predecessor"),
+]
+
+
+@pytest.mark.parametrize("a, b, counts", _ROW_FORM_CORNERS)
+def test_bfb_and_fbb_rounds_on_row_form_corners(a, b, counts):
+    for left, right, back_a, back_b in ((a, b, a, b),
+                                        (reverse(a), reverse(b),
+                                         reverse_oracle(a), reverse_oracle(b))):
+        steps = backward_forward_bisim_steps(left, right)
+        assert steps == fixpoint_steps_oracle("bfb", back_a, back_b)
+        assert [s.count() for s in steps] == counts
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
