@@ -16,8 +16,6 @@ from .relcalc import (
     BoolVec,
     Partition,
     _bit_indices,
-    _unions,
-    inverse,
     scalar,
     vec_rel,
 )
@@ -54,7 +52,8 @@ class Nfa:
     """Nondeterministic automaton: per-symbol transition relations plus
     initial and terminal state vectors."""
 
-    __slots__ = ("n", "alphabet", "delta", "sigma", "tau", "_reversal", "_succ")
+    __slots__ = ("n", "alphabet", "delta", "sigma", "tau", "_reversal", "_succ",
+                 "_reversed_sum", "_vectors")
 
     def __init__(self, n: int, alphabet, delta, sigma, tau):
         if n < 1:
@@ -71,7 +70,7 @@ class Nfa:
         self.delta = {x: _as_rel(delta[x], n) for x in alphabet}
         self.sigma = _as_vec(sigma, n)
         self.tau = _as_vec(tau, n)
-        self._reversal = self._succ = None
+        self._reversal = self._succ = self._reversed_sum = self._vectors = None
 
     def word(self, u) -> tuple:
         """Normalize a word and reject symbols outside the alphabet."""
@@ -118,10 +117,27 @@ def reverse(a: Nfa) -> Nfa:
     """Flip every transition and swap initial with terminal states.  The
     only place where transitions are inverted, once per automaton: an
     automaton and its reversal keep each other, so ``reverse(reverse(a))``
-    is ``a`` and the predecessors by x are ``reverse(a).delta[x]``."""
+    is ``a`` and the predecessors by x are ``reverse(a).delta[x]``.
+
+    One pass over a's successor index per symbol fills both the reversal's
+    masks and its own index: sources are visited in rising order, so each
+    predecessor list comes out rising.
+    """
     if a._reversal is None:
-        r = Nfa(a.n, a.alphabet, {x: inverse(d) for x, d in a.delta.items()},
-                a.tau, a.sigma)
+        n = a.n
+        delta, index = {}, []
+        for x, succ in zip(a.alphabet, _successors(a)):
+            preds = [[] for _ in range(n)]
+            masks = [0] * n
+            for i, row in enumerate(succ):
+                bit = 1 << i
+                for j in row:
+                    preds[j].append(i)
+                    masks[j] |= bit
+            delta[x] = BoolRel(n, n, masks)
+            index.append(preds)
+        r = Nfa(n, a.alphabet, delta, a.tau, a.sigma)
+        r._succ = index
         a._reversal, r._reversal = r, a
     return a._reversal
 
@@ -149,16 +165,38 @@ def _image(a: Nfa, targets, cols: int) -> Nfa:
     """Image of a under the state map i -> targets[i] onto ``cols`` states:
     each edge i -> j becomes targets[i] -> targets[j], and a state is initial
     or terminal when a state mapped onto it is.  A class map gives the
-    quotient, and a bijection a relabelled copy."""
-    image = _unions([1 << t for t in targets])
-    delta = {}
-    for x, r in a.delta.items():
+    quotient, and a bijection a relabelled copy.
+
+    One pass over a's successor index per symbol ORs each edge's target bit
+    into its row and, the first time the bit is set, appends the target to
+    the row's list, so the image gets its own index, sorted and without
+    repeats, from the same edges as its masks.
+    """
+    bits = [1 << t for t in targets]
+    delta, index = {}, []
+    for x, succ in zip(a.alphabet, _successors(a)):
         rows = [0] * cols
-        for t, m in zip(targets, r.row_masks):
-            rows[t] |= image(m)
+        lists = [[] for _ in range(cols)]
+        for t, row in zip(targets, succ):
+            m = rows[t]
+            out = lists[t]
+            for j in row:
+                bit = bits[j]
+                if not m & bit:
+                    m |= bit
+                    out.append(targets[j])
+            rows[t] = m
+        for out in lists:
+            out.sort()
         delta[x] = BoolRel(cols, cols, rows)
-    return Nfa(cols, a.alphabet, delta, BoolVec(cols, image(a.sigma.mask)),
-               BoolVec(cols, image(a.tau.mask)))
+        index.append(lists)
+    sigma, tau = (
+        sum(1 << t for t in {targets[i] for i in _bit_indices(v.mask)})
+        for v in (a.sigma, a.tau)
+    )
+    c = Nfa(cols, a.alphabet, delta, BoolVec(cols, sigma), BoolVec(cols, tau))
+    c._succ = index
+    return c
 
 
 def _is_bijection(a: Nfa, b: Nfa, phi) -> bool:
@@ -201,8 +239,10 @@ def _successors(a: Nfa) -> list:
     """a's successor index: per symbol in alphabet order, each state's
     successors as a rising list, ``_index_lists(a.delta[x])``.
 
-    It is built at most once per automaton and kept with it: by the parser
-    from the edges it reads, and otherwise here from the masks on first use.
+    It is built at most once per automaton and kept with it, from the same
+    edges as the masks: by the parser from the edges it reads, by
+    ``reverse`` and ``_image`` from the index they read, and otherwise, for
+    an automaton built from masks, here from the masks on first use.
     The lists are shared, with the index of a sum too (``_sum_successors``),
     and no reader changes them.
     """

@@ -49,7 +49,7 @@ from .automaton import (
     _sum_successors,
     reverse,
 )
-from .nerode import _subsets
+from .nerode import _vectors
 from .relcalc import (
     BoolRel,
     BoolVec,
@@ -201,8 +201,18 @@ _HALVES = {
 
 def _reversed_sum(a: Nfa, b: Nfa) -> Nfa:
     """reverse(A+B), built as the sum of the reversals, which ``reverse``
-    keeps with A and B."""
-    return _sum(reverse(a), reverse(b))
+    keeps with A and B.  A and B each keep the last reversed sum they are
+    summands of, and ``nerode._vectors`` keeps its search, so the greatest
+    weak forward relation, its check and the weak isomorphism test search
+    each pair once.  Both sides keep it because a factor can be its
+    automaton itself: the factors' sum then replaces the inputs' sum on
+    that side only."""
+    for kept in (a._reversed_sum, b._reversed_sum):
+        if kept is not None and kept[0] is a and kept[1] is b:
+            return kept[2]
+    c = _sum(reverse(a), reverse(b))
+    a._reversed_sum = b._reversed_sum = (a, b, c)
+    return c
 
 
 # Per weak kind: the automaton whose subsets are its vector pairs (the
@@ -233,7 +243,7 @@ def _weak_conditions(kind, a, b, phi, inv):
     and, for a bisimulation, phi^-1's image of T inside S."""
     search, names, cover = _WEAK[kind]
     top = (1 << a.n) - 1
-    pairs = [(m & top, m >> a.n) for m, _ in _subsets(search(a, b))]
+    pairs = [(m & top, m >> a.n) for m in _vectors(search(a, b))]
     conds = []
     for name, rel, side in zip(names, (phi, inv), (0, 1)):
         image = _unions(rel.row_masks)
@@ -497,7 +507,7 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     top = (1 << a.n) - 1
     return [
         (BoolVec(a.n, m & top), BoolVec(b.n, m >> a.n))
-        for m, _ in _subsets(_reversed_sum(a, b))
+        for m in _vectors(_reversed_sum(a, b))
     ]
 
 
@@ -506,7 +516,7 @@ def _signatures(c: Nfa) -> tuple:
     signature, whose bit k says whether the state lies in the k-th subset.
     On ``reverse(c)`` the subsets are c's terminal vectors tau_u, on c its
     initial vectors sigma_u.  On A+B, A's states come first."""
-    vectors = [m for m, _ in _subsets(c)]
+    vectors = _vectors(c)
     return len(vectors), _columns(vectors, c.n)
 
 

@@ -34,7 +34,7 @@ from itertools import compress, islice
 from operator import ge
 
 from . import equivalence
-from .automaton import Nfa, random_nfa
+from .automaton import Nfa, _successors, random_nfa
 from .bisim import (
     BisimKind,
     check,
@@ -261,7 +261,13 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
 
 
 def format_nfa(a: Nfa) -> str:
-    """Canonical text: symbols in declaration order, transitions sorted."""
+    """Canonical text: symbols in declaration order, transitions sorted.
+
+    Each symbol's line is written from the successor index, whose lists
+    rise, with every state number looked up in one list of names, as
+    ``format_dfa`` does.
+    """
+    names = list(map(str, range(a.n)))
     out = [f"states {a.n}"]
     out.append("alphabet " + " ".join(a.alphabet))
     out.append(
@@ -270,10 +276,10 @@ def format_nfa(a: Nfa) -> str:
     out.append(
         "terminal" + "".join(f" {q}" for q in a.tau.indices())
     )
-    for x in a.alphabet:
-        out.append(
-            f"{x}:" + "".join(f" {s}->{d}" for s, d in a.delta[x].pairs())
-        )
+    for x, succ in zip(a.alphabet, _successors(a)):
+        out.append(f"{x}:" + "".join(
+            [f" {src}->{names[j]}" for src, row in zip(names, succ) for j in row]
+        ))
     return "\n".join(out) + "\n"
 
 

@@ -86,6 +86,16 @@ def _subsets(a: Nfa):
         yield mask, row
 
 
+def _vectors(a: Nfa) -> list:
+    """The subsets ``_subsets`` yields on a, as masks in search order.  The
+    search runs at most once per automaton and its list is kept with it, so
+    the weak relations, their checks and the weak isomorphism test that
+    search one automaton share the search."""
+    if a._vectors is None:
+        a._vectors = [mask for mask, _ in _subsets(a)]
+    return a._vectors
+
+
 def _determinize(a: Nfa) -> Dfa:
     masks, rows = zip(*_subsets(a))
     finals = [m & a.tau.mask for m in masks]

@@ -160,11 +160,6 @@ class BoolRel:
             tuple(m >> j & 1 for j in range(self.cols)) for m in self.row_masks
         )
 
-    def pairs(self) -> tuple:
-        return tuple(
-            (a, b) for a, m in enumerate(self.row_masks) for b in _bit_indices(m)
-        )
-
     # No command counts pairs; the bench tracer counts those a fixpoint removes.
     def count(self) -> int:
         return sum(map(int.bit_count, self.row_masks))

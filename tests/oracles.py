@@ -237,6 +237,19 @@ def format_dfa_oracle(d) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_nfa_oracle(a: Nfa) -> str:
+    """The text ``cli.format_nfa`` must print, by the definition: header
+    lines with the initial and terminal states in increasing order, then
+    one transition line per symbol in declaration order, its edges in
+    increasing (source, target) order."""
+    lines = [f"states {a.n}", "alphabet " + " ".join(a.alphabet),
+             "initial" + "".join(f" {q}" for q in sorted(_members(a.sigma))),
+             "terminal" + "".join(f" {q}" for q in sorted(_members(a.tau)))]
+    for x in a.alphabet:
+        lines.append(f"{x}:" + "".join(f" {p}->{q}" for p, q in sorted(_pairs(a.delta[x]))))
+    return "\n".join(lines) + "\n"
+
+
 def right_language_oracle(a: Nfa, state: int, depth: int) -> set:
     """Words of length <= depth that can reach a terminal state from state."""
     out = set()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nfabisim.automaton import (
     Nfa,
+    _image,
     _index_lists,
     _refine,
     _successors,
@@ -37,6 +38,7 @@ from nfabisim.relcalc import (
     BoolRel,
     BoolVec,
     Partition,
+    inverse,
     rel_vec,
     vec_rel,
 )
@@ -53,6 +55,7 @@ from goldens import (
     WEAK_B_MOD,
 )
 from oracles import (
+    _pairs,
     all_partitions,
     compose_oracle,
     delta_word_oracle,
@@ -300,6 +303,59 @@ def test_readers_leave_the_shared_lists_unchanged():
         assert [_frozen(_successors(c)) for c in autos] == before
 
 
+def _index_sources(rng):
+    """Fresh automata of every origin an index has: built from masks, parsed
+    from shuffled text with repeated edges, and the images of a partition
+    and of a bijection.  Densities 0 and 1 give empty and full rows; five
+    states with self-loops and a full row, and one state with and without
+    its loop, come last."""
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        alphabet = ("x", "y", "z")[:rng.randint(1, 3)]
+        a = random_nfa(n, alphabet, rng.choice((0.0, 0.2, 0.5, 1.0)),
+                       rng.randrange(1 << 30))
+        yield a
+        yield parse_nfa(_shuffled_lines(rng, format_nfa(a), 2))
+        e = random_partition(rng, n, rng.randint(1, n))
+        yield _image(a, e.class_of, e.num_classes)
+        yield _image(a, rng.sample(range(n), n), n)
+    loops = "".join(f" {q}->{q}" for q in range(5))
+    full = "".join(f" 2->{q}" for q in range(5))
+    yield parse_nfa(f"states 5\nalphabet x y\ninitial 0\nterminal 4\nx:{loops}\ny:{full} 2->2\n")
+    yield parse_nfa("states 1\nalphabet x\ninitial 0\nterminal 0\nx: 0->0\n")
+    yield parse_nfa("states 1\nalphabet x y\ninitial\nterminal\n")
+
+
+def test_the_reversal_is_read_off_the_index():
+    # One pass over the index gives the inverse of each symbol's masks and
+    # the reversal's own index: rising lists (not tuples), equal to the
+    # index of its masks.  An automaton and its reversal keep each other.
+    for c in _index_sources(random.Random(49)):
+        r = reverse(c)
+        assert r._succ is not None
+        assert r == reverse_oracle(c)
+        assert all(r.delta[x] == inverse(c.delta[x]) for x in c.alphabet)
+        assert r._succ == _from_masks(r)
+        assert all(type(row) is list for lists in r._succ for row in lists)
+        assert reverse(r) is c and reverse(reverse(c)) is c
+
+
+def test_state_map_images_carry_the_index_of_their_masks():
+    # A class map gives the quotient and a bijection a relabelled copy.
+    # Targets arrive in any order and a class collects the successors of
+    # all its members, yet each image's index is sorted without repeats.
+    rng = random.Random(50)
+    for c in _index_sources(rng):
+        e = random_partition(rng, c.n, rng.randint(1, c.n))
+        quotient = _image(c, e.class_of, e.num_classes)
+        assert quotient == factor_oracle(c, e)
+        assert quotient._succ == _from_masks(quotient)
+        perm = tuple(rng.sample(range(c.n), c.n))
+        copy = _image(c, perm, c.n)
+        assert isomorphism_oracle(c, copy, perm)
+        assert copy._succ == _from_masks(copy)
+
+
 # --- factor automata ---------------------------------------------------------
 
 
@@ -422,7 +478,7 @@ def _relabel(a, perm):
         inv[p] = i
     delta = {
         x: rel_from_pairs(
-            a.n, a.n, [(perm[i], perm[j]) for i, j in a.delta[x].pairs()]
+            a.n, a.n, [(perm[i], perm[j]) for i, j in _pairs(a.delta[x])]
         )
         for x in a.alphabet
     }
@@ -442,7 +498,7 @@ def _copies(c, count):
     delta = {
         x: rel_from_pairs(n, n, [
             (k * c.n + i, k * c.n + j)
-            for k in range(count) for i, j in c.delta[x].pairs()
+            for k in range(count) for i, j in _pairs(c.delta[x])
         ])
         for x in c.alphabet
     }

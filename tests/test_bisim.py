@@ -55,6 +55,7 @@ from goldens import (
     WEAK_MU,
 )
 from oracles import (
+    _pairs,
     all_partitions,
     all_relations,
     bfb_violations,
@@ -873,7 +874,7 @@ def _pooled(rng, n, alphabet, copy=None):
     pairs = {}
     for x in alphabet:
         pool = [rng.sample(range(n), rng.randint(1, min(3, n))) for _ in range(3)]
-        own = list(copy.delta[x].pairs()) if copy else []
+        own = list(_pairs(copy.delta[x])) if copy else []
         pairs[x] = own + [(q, t) for q in range(base, n) for t in rng.choice(pool)]
     boundary = [
         (set(getattr(copy, vec).indices()) if copy else set())

@@ -3,13 +3,14 @@ import io
 import os
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfabisim import automaton, bisim, cli, equivalence, selftest
-from nfabisim.automaton import factor, find_isomorphism, random_nfa
+from nfabisim.automaton import factor, find_isomorphism, random_nfa, reverse
 from nfabisim.cli import (
     MAX_STATES,
     ParseError,
@@ -24,7 +25,14 @@ from nfabisim.nerode import Dfa, nerode, reverse_nerode
 from nfabisim.relcalc import BoolRel, BoolVec, Partition
 
 from goldens import FWD_PHI2, GOLDEN_AUTOMATA
-from oracles import format_dfa_oracle, language_oracle, transitions_oracle
+from oracles import (
+    _pairs,
+    format_dfa_oracle,
+    format_nfa_oracle,
+    language_oracle,
+    random_partition,
+    transitions_oracle,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -306,15 +314,75 @@ def test_equiv_fb_reads_each_automatons_edges_once(tmp_path, monkeypatch, capsys
 
 def test_equiv_fb_builds_a_factors_index_once_per_symbol(tmp_path, monkeypatch, capsys):
     # Copies of one ring collapse, so route 2 matches factors the parser
-    # never saw: each factor builds its index from its masks, once per
-    # symbol, and their sum joins the two.
+    # never saw: each factor gets its index from the quotient's pass over
+    # the parsed edges, and their sum joins the two, so no index is built
+    # from masks.
     ring = "".join(f" {i}->{(i + 1) % 4} {4 + i}->{4 + (i + 1) % 4}" for i in range(4))
     path = tmp_path / "rings.nfa"
     path.write_text(f"states 8\nalphabet a\ninitial 0 4\nterminal 0 4\na:{ring}\n")
     built = _index_builds(monkeypatch)
     assert main(["equiv", "--mode", "fb", str(path), str(path)]) == 0
     capsys.readouterr()
-    assert len(built) == 2 and [rel.rows for rel in built] == [4, 4]
+    assert built == []
+
+
+def test_format_nfa_prints_every_index_as_its_edges_read():
+    # Indices of every origin: built from masks (random_nfa), filled by the
+    # parser from shuffled lines with a repeated edge, by the reversal and
+    # by the quotient.
+    rng = random.Random(51)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        alphabet = ("x", "y", "zz")[:rng.randint(1, 3)]
+        a = random_nfa(n, alphabet, rng.choice((0.0, 0.2, 0.5, 1.0)),
+                       rng.randrange(1 << 30))
+        lines = format_nfa_oracle(a).splitlines()
+        for k in range(4, len(lines)):
+            head, _, rest = lines[k].partition(":")
+            edges = rest.split()
+            rng.shuffle(edges)
+            lines[k] = f"{head}: " + " ".join(edges + edges[:1])
+        parsed = parse_nfa("\n".join(lines) + "\n")
+        e = random_partition(rng, n, rng.randint(1, n))
+        for c in (a, parsed, reverse(parsed), factor(parsed, e), reverse(factor(a, e))):
+            assert format_nfa(c) == format_nfa_oracle(c)
+
+
+def _subset_searches(monkeypatch):
+    """The state counts of the automata ``nerode._subsets`` searches from
+    now on.  The package binds ``nfabisim.nerode`` to the function, so the
+    module is reached through ``sys.modules``."""
+    module = sys.modules["nfabisim.nerode"]
+    searched = []
+    original = module._subsets
+
+    def counting(a):
+        searched.append(a.n)
+        return original(a)
+
+    monkeypatch.setattr(module, "_subsets", counting)
+    return searched
+
+
+@pytest.mark.parametrize("left, right, code, searched, out", [
+    # The reversed sum of A and B, each reversal, and the reversed sum of
+    # the factors.  The isomorphism test and the check read the vectors of
+    # the sums they share with the matcher and the greatest relation.
+    ("weak_a", "weak_b", 0, [6, 4, 2, 4], "EQUIVALENT\n10\n10\n01\n10\n"),
+    # fwd_a is its own factor: the factors' sum replaces only A's kept sum,
+    # and B's side still keeps the sum of the inputs.
+    ("fwd_a", "fwd_b", 0, [8, 3, 5, 6], "EQUIVALENT\n11000\n00010\n00101\n"),
+    # A negative verdict runs no check, and here the factors' signatures
+    # differ, so the matching is never checked against the definition.
+    ("weak_a", "weak_a_mod", 1, [8, 4, 4, 4], "NOT-EQUIVALENT\n"),
+], ids=["weak", "fwd", "negative"])
+def test_equiv_wfb_searches_each_automaton_once(monkeypatch, capsys, left, right,
+                                                code, searched, out):
+    counted = _subset_searches(monkeypatch)
+    argv = ["equiv", "--mode", "wfb", data(f"{left}.nfa"), data(f"{right}.nfa")]
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+    assert counted == searched
 
 
 def test_cmd_equiv_lang_is_exact_beyond_short_words(tmp_path, capsys):
@@ -756,7 +824,7 @@ def test_malformed_transition_lines_raise_the_first_bad_tokens_error(
 ])
 def test_odd_but_valid_transition_lines(line, edges):
     a = parse_nfa(f"states 8\nalphabet x\ninitial 0\nterminal\nx: {line}\n")
-    assert set(a.delta["x"].pairs()) == edges
+    assert _pairs(a.delta["x"]) == edges
     assert a._succ == [automaton._index_lists(a.delta["x"])]
 
 
@@ -796,7 +864,7 @@ def test_transition_lines_read_as_the_per_token_reference_reads_them(line, n):
         assert str(err.value) == f"t.nfa:6: {expected}"
     else:
         a = parse_nfa(text)
-        assert set(a.delta["x"].pairs()) == expected
+        assert _pairs(a.delta["x"]) == expected
         assert a._succ == [automaton._index_lists(a.delta[x]) for x in a.alphabet]
 
 
