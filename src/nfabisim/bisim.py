@@ -12,7 +12,11 @@ rows above and below a row that the round before took pairs out of, and
 only at the states those pairs can have cost.  Both return the paper's exact
 sequence of relations.  bb and fbb are fb and bfb on the reversed automata,
 which swap the initial and terminal vectors; their covering conditions are
-named and tested on A and B themselves.  The weak kinds read the finitely
+named and tested on A and B themselves.  The greatest fb and bb
+equivalences of one automaton, which the reductions factor by, build no
+relation: they refine A, or its reversal, until a round moves nothing and
+read the classes off the stable blocks, which are the fixpoint's classes
+(``greatest_fb_equivalence``).  The weak kinds read the finitely
 many reachable vector pairs instead, found by the one breadth-first subset
 search (``nerode._subsets``) that also determinizes: the weak forward kinds
 the terminal-vector pairs, the subsets of the reversed disjoint union A+B,
@@ -476,25 +480,31 @@ def greatest_forward_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     )
 
 
-def _equivalence_of(report: BisimReport) -> Partition:
-    # The identity always qualifies and the fixpoint is an equivalence, so a
-    # failure here is a fault of the program, never of its input.
-    if report.relation is None:  # pragma: no cover
-        raise AssertionError("self-bisimulation fixpoint was rejected")
-    try:
-        return Partition.from_relation(report.relation)
-    except ValueError as exc:
-        raise AssertionError(f"self-bisimulation fixpoint: {exc}") from exc
-
-
 def greatest_fb_equivalence(a: Nfa) -> Partition:
-    """Classes of the greatest forward bisimulation of an automaton with
-    itself; the fixpoint is verified to be an equivalence on conversion."""
-    return _equivalence_of(greatest_forward_bisim(a, a))
+    """Classes of the greatest forward bisimulation equivalence E_A: the
+    stable partition that ``automaton._refine`` reaches over A's successor
+    lists from the blocks of A's non-terminal and terminal states.
+
+    E_A is the coarsest partition that starts inside the terminal split and
+    is stable under every symbol (Kanellakis & Smolka, 1990), and it is what
+    ``forward_bisim_steps(a, a)`` converges to: that fixpoint refines A alone
+    with the same engine from the same blocks, and it stops at the first
+    round that moves nothing, where the refinement stops too.  ``Partition``
+    numbers classes by their first member, as ``Partition.from_relation``
+    does from the fixpoint's rows, so both give equal class numbers.  No
+    relation is built, so a round costs the states it keys, not n x n bits.
+    """
+    block = [a.tau.mask >> i & 1 for i in range(a.n)]
+    for block, _ in _refine(block, _successors(a)):
+        pass
+    return Partition(block)
 
 
 def greatest_bb_equivalence(a: Nfa) -> Partition:
-    return _equivalence_of(greatest_backward_bisim(a, a))
+    """Classes of the greatest backward bisimulation equivalence: those of
+    the forward one on the reversed automaton, whose terminal states are
+    A's initial ones."""
+    return greatest_fb_equivalence(reverse(a))
 
 
 def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:

@@ -122,17 +122,34 @@ def _two_routes(a, b, greatest, classes, match, route) -> EquivVerdict:
     return EquivVerdict(True, method, EquivWitness(phi, mapping, e_a, e_b))
 
 
+def _fixpoint_fb_classes(c: Nfa) -> Partition:
+    """Route 2's classes of C: the paper's fixpoint of C against itself,
+    read as a partition.  ``greatest_fb_equivalence`` reaches the same
+    classes by refining to stability; route 2 keeps the fixpoint so that
+    the fixpoint stays in use as the reference.  The identity always
+    qualifies and the fixpoint is an equivalence, so a failure here is a
+    fault of the program, never of its input."""
+    report = greatest_forward_bisim(c, c)
+    if report.relation is None:  # pragma: no cover
+        raise AssertionError("self-bisimulation fixpoint was rejected")
+    try:
+        return Partition.from_relation(report.relation)
+    except ValueError as exc:
+        raise AssertionError(f"self-bisimulation fixpoint: {exc}") from exc
+
+
 def fb_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     """Decide whether a complete and surjective forward bisimulation exists.
 
     The structural route factors both automata by their greatest forward
-    bisimulation equivalences and matches the factors, which are fb-reduced,
+    bisimulation equivalences, each read off the paper's fixpoint of the
+    automaton against itself, and matches the factors, which are fb-reduced,
     by one successor refinement (``find_isomorphism``).  The verdict
     is returned only when both routes agree, and a positive witness is
     re-verified against the definitions.
     """
     return _two_routes(
-        a, b, greatest_forward_bisim, greatest_fb_equivalence,
+        a, b, greatest_forward_bisim, _fixpoint_fb_classes,
         find_isomorphism, "factor-isomorphism",
     )
 

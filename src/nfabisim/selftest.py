@@ -1,15 +1,16 @@
 """Randomized property battery backing the ``selftest`` subcommand.
 
 Each trial draws a seeded pair of automata and replays the core guarantees:
-the greatest bb and fbb relations against their definition check, partial
-uniformity of accepted greatest relations, the uniform fb and bfb
-cross-checks and the fb/bfb agreement for functions on the natural map onto
-the fb factor, exact language preservation of every reduction mode, both
-subset constructions against their definition, the greatest weak forward
-simulation against a closure of the terminal-vector pairs, and (on small
-enough pairs) agreement of the fb, bb, bfb and fbb algorithms with
-brute-force enumeration over all candidate relations.  Output is buffered
-per trial and emitted in trial order.
+the greatest bb and fbb relations against their definition check, the
+greatest fb and bb equivalences of the first automaton against the fixpoint
+of it against itself, partial uniformity of accepted greatest relations,
+the uniform fb and bfb cross-checks and the fb/bfb agreement for functions
+on the natural map onto the fb factor, exact language preservation of every
+reduction mode, both subset constructions against their definition, the
+greatest weak forward simulation against a closure of the terminal-vector
+pairs, and (on small enough pairs) agreement of the fb, bb, bfb and fbb
+algorithms with brute-force enumeration over all candidate relations.
+Output is buffered per trial and emitted in trial order.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .bisim import (
     check,
     greatest_backward_bisim,
     greatest_backward_forward_bisim,
+    greatest_bb_equivalence,
     greatest_fb_equivalence,
     greatest_forward_backward_bisim,
     greatest_forward_bisim,
@@ -69,6 +71,19 @@ def _check_definitions(a, b, problems):
         rel = algorithm(a, b).relation
         if rel is not None and not rel.is_empty() and not check(kind, a, b, rel):
             problems.append(f"accepted {kind.value} relation fails its definition")
+
+
+def _check_equivalences(a, problems):
+    # The greatest fb and bb equivalences refine A, or its reversal, to
+    # stability; the paper's fixpoint of A against itself is the reference.
+    # Equal relations are equal partitions, and a fixpoint that is no
+    # equivalence counts as a mismatch instead of stopping the battery.
+    for kind, classes, algorithm in (
+        ("fb", greatest_fb_equivalence, greatest_forward_bisim),
+        ("bb", greatest_bb_equivalence, greatest_backward_bisim),
+    ):
+        if classes(a).to_relation() != algorithm(a, a).relation:
+            problems.append(f"greatest {kind} equivalence disagrees with the fixpoint")
 
 
 def _check_uniformity(a, b, problems):
@@ -182,6 +197,7 @@ def run(max_states: int = 6, seed: int = 0, trials: int = 25, out=None) -> int:
         b = random_nfa(nb, ("x", "y"), density, rng.randrange(1 << 30))
         problems = []
         _check_definitions(a, b, problems)
+        _check_equivalences(a, problems)
         _check_uniformity(a, b, problems)
         _check_uniform_theorems(a, problems)
         _check_reduction(a, problems)

@@ -66,6 +66,7 @@ from oracles import (
     rel_from_pairs,
     reverse_oracle,
     right_language_oracle,
+    sum_oracle,
     weak_oracle,
 )
 
@@ -633,7 +634,9 @@ def test_report_shape_invariant():
 
 def _assert_self_path_is_the_sum_path(a):
     # Against itself A is refined alone; against an equal but distinct copy
-    # the rounds run over A+A.  Both give the paper's rounds.
+    # the rounds run over A+A.  Both give the paper's rounds.  The greatest
+    # fb and bb equivalences refine to stability without the rounds, and
+    # must read the fixpoint's classes, numbered alike.
     c = Nfa(a.n, a.alphabet, dict(a.delta), a.sigma, a.tau)
     assert c == a and c is not a
     steps = forward_bisim_steps(a, a)
@@ -675,9 +678,24 @@ def test_self_fb_rounds_match_the_sum(a):
     _assert_self_path_is_the_sum_path(a)
 
 
-@pytest.mark.parametrize("n, closed", [(24, False), (37, True), (58, False), (77, True)])
+@pytest.mark.parametrize("n, closed", [
+    (24, False), (37, True), (58, False), (77, True), (150, False), (160, True),
+])
 def test_self_fb_rounds_match_the_sum_on_chains_and_rings(n, closed):
     _assert_self_path_is_the_sum_path(_line(n, closed))
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (5, 2), (12, 4), (40, 3)])
+def test_self_fb_rounds_match_the_sum_on_ring_copies(n, k):
+    # The copies of a state are fb and bb equivalent, so the classes merge
+    # across copies, one per state of the ring.
+    a = _line(n, True)
+    for _ in range(k - 1):
+        a = sum_oracle(a, _line(n, True))
+    assert a.n == n * k
+    _assert_self_path_is_the_sum_path(a)
+    assert greatest_fb_equivalence(a).num_classes == n
+    assert greatest_bb_equivalence(a).num_classes == n
 
 
 def test_self_bb_refines_the_reversal_alone(monkeypatch):

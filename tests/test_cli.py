@@ -1,4 +1,5 @@
 import dataclasses
+import glob
 import io
 import os
 import random
@@ -437,6 +438,50 @@ def test_cmd_reduce(capsys):
     assert language_oracle(reduced, 6) == language_oracle(original, 6)
 
 
+def _reduce_by_fixpoint(a, mode):
+    # The reductions as the paper states them: factor by the classes of the
+    # greatest fb (bb) of the automaton against itself.
+    classes = {
+        "fb": lambda c: Partition.from_relation(bisim.greatest_forward_bisim(c, c).relation),
+        "bb": lambda c: Partition.from_relation(bisim.greatest_backward_bisim(c, c).relation),
+    }
+    while True:
+        before = a.n
+        for step in ("fb", "bb") if mode == "alternate" else (mode,):
+            a = factor(a, classes[step](a))
+        if mode != "alternate" or a.n == before:
+            return a
+
+
+def test_cmd_reduce_runs_no_fixpoint(tmp_path, monkeypatch, capsys):
+    # The fb and bb equivalences refine to stability: no reduction step runs
+    # the paper's rounds or reads a partition off a relation, and each prints
+    # what factoring by the fixpoint's classes prints.
+    chain = tmp_path / "chain.nfa"
+    chain.write_text(
+        "states 64\nalphabet a b\ninitial 0\nterminal 63\na:"
+        + "".join(f" {q}->{q + 1}" for q in range(63))
+        + "\nb:" + "".join(f" {q}->{q}" for q in range(64)) + "\n"
+    )
+    paths = sorted(glob.glob(os.path.join(DATA, "*.nfa"))) + [str(chain)]
+    modes = ("fb", "bb", "alternate")
+    expected = {
+        (path, mode): format_nfa(_reduce_by_fixpoint(parse_nfa(open(path).read()), mode))
+        for path in paths for mode in modes
+    }
+
+    def fixpoint(*args):
+        raise AssertionError("a reduction ran the fixpoint")
+
+    monkeypatch.setattr(bisim, "forward_bisim_steps", fixpoint)
+    monkeypatch.setattr(Partition, "from_relation", classmethod(fixpoint))
+    for path in paths:
+        for mode in modes:
+            assert main(["reduce", "--mode", mode, path]) == 0
+            assert capsys.readouterr().out == expected[path, mode]
+    assert expected[str(chain), "alternate"].startswith("states 64\n")
+
+
 def test_cmd_determinize(capsys):
     code = main(["determinize", data("lang_a.nfa")])
     out = capsys.readouterr().out
@@ -630,6 +675,32 @@ def test_selftest_weak_check_reaches_deep_pairs(monkeypatch):
         "reachable terminal pairs disagree with their closure",
         "weak simulation disagrees with the vector-pair oracle",
     ]
+
+
+def test_selftest_holds_the_equivalences_to_the_fixpoint(monkeypatch):
+    # fwd_b has fb- and bb-equivalent states.  An fb equivalence that merges
+    # none of them and a bb equivalence that merges every state each make
+    # one problem, and in a run each failing trial prints one line.
+    a = GOLDEN_AUTOMATA["fwd_b"]
+    problems = []
+    selftest._check_equivalences(a, problems)
+    assert problems == []
+    with monkeypatch.context() as m:
+        m.setattr(selftest, "greatest_fb_equivalence", lambda a: Partition(range(a.n)))
+        m.setattr(selftest, "greatest_bb_equivalence", lambda a: Partition([0] * a.n))
+        selftest._check_equivalences(a, problems)
+    assert problems == [
+        "greatest fb equivalence disagrees with the fixpoint",
+        "greatest bb equivalence disagrees with the fixpoint",
+    ]
+    monkeypatch.setattr(selftest, "greatest_bb_equivalence", lambda a: Partition([0] * a.n))
+    out = io.StringIO()
+    assert selftest.run(max_states=3, seed=0, trials=2, out=out) == 1
+    assert out.getvalue() == (
+        "trial   0: FAIL greatest bb equivalence disagrees with the fixpoint\n"
+        "trial   1: FAIL greatest bb equivalence disagrees with the fixpoint\n"
+        "selftest: 0/2 trials passed (seed 0, max states 3)\n"
+    )
 
 
 def test_selftest_definition_check_catches_a_dropped_bb_pair(monkeypatch):
@@ -913,13 +984,14 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
 
 def test_fixpoint_that_is_no_equivalence_exits_3(monkeypatch, capsys):
     # A greatest fb of an automaton with itself is an equivalence; when the
-    # fixpoint is not, the program is at fault, not the input.  Identity plus
-    # the pair (0, 1) covers every initial state but is not symmetric.
+    # fixpoint that route 2 of the fb decider reads its classes from is not,
+    # the program is at fault, not the input.  Identity plus the pair (0, 1)
+    # covers every initial state but is not symmetric.
     def skewed(a, b):
         return [BoolRel(a.n, a.n, [0b11] + [1 << i for i in range(1, a.n)])]
 
     monkeypatch.setattr(bisim, "forward_bisim_steps", skewed)
-    code = main(["reduce", "--mode", "fb", data("fwd_b.nfa")])
+    code = main(["equiv", "--mode", "fb", data("fwd_b.nfa"), data("fwd_b.nfa")])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -930,13 +1002,13 @@ def test_fixpoint_that_is_no_equivalence_exits_3(monkeypatch, capsys):
 
 
 def test_unreduced_fb_factors_exit_3(monkeypatch, capsys):
-    # fwd_b has fb-equivalent states.  With its greatest fb equivalence
-    # replaced by the discrete partition, route 2 matches fwd_b itself
-    # against a copy, and a colour holds two of its states: the program is
-    # at fault, not the input.
-    assert equivalence.greatest_fb_equivalence(GOLDEN_AUTOMATA["fwd_b"]).num_classes < 5
+    # fwd_b has fb-equivalent states.  With route 2's classes replaced by
+    # the discrete partition, route 2 matches fwd_b itself against a copy,
+    # and a colour holds two of its states: the program is at fault, not
+    # the input.
+    assert equivalence._fixpoint_fb_classes(GOLDEN_AUTOMATA["fwd_b"]).num_classes < 5
     monkeypatch.setattr(
-        equivalence, "greatest_fb_equivalence", lambda a: Partition(range(a.n))
+        equivalence, "_fixpoint_fb_classes", lambda a: Partition(range(a.n))
     )
     code = main(["equiv", "--mode", "fb", data("fwd_b.nfa"), data("fwd_b.nfa")])
     captured = capsys.readouterr()
