@@ -112,11 +112,8 @@ def _decimal(token: str) -> int:
 
 
 def _parse_state(token: str, n: int, source: str, lineno: int) -> int:
-    # ``_decimal`` written out: this runs for both ends of every transition.
     try:
-        if not (token.isascii() and token.isdecimal()):
-            raise ValueError
-        value = int(token)
+        value = _decimal(token)
     except ValueError:
         raise ParseError(source, lineno, f"expected a state index, got {token!r}")
     if not 0 <= value < n:

@@ -683,3 +683,17 @@ def random_functional_relation(rng, rows: int, cols: int) -> BoolRel:
     return rel_from_pairs(
         rows, cols, [(a, rng.randrange(cols)) for a in range(rows)]
     )
+
+
+def line_nfa(n: int, closed: bool, alphabet=("a", "b"), name=None) -> Nfa:
+    """A chain (a ring when closed) stepping on the first symbol, with every
+    other symbol looping on every state, its state q renamed name[q]; the
+    ring's state 0 is initial and terminal, the chain runs from 0 to n - 1."""
+    name = name or range(n)
+    step = [(q, q + 1) for q in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    delta = {alphabet[0]: rel_from_pairs(n, n, [(name[p], name[q]) for p, q in step])}
+    for x in alphabet[1:]:
+        delta[x] = BoolRel(n, n, [1 << q for q in range(n)])
+    first, last = name[0], name[0 if closed else n - 1]
+    return Nfa(n, alphabet, delta, [q == first for q in range(n)],
+               [q == last for q in range(n)])

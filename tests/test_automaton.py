@@ -63,6 +63,7 @@ from oracles import (
     isomorphic_oracle,
     isomorphism_oracle,
     language_oracle,
+    line_nfa,
     quotient_partition_oracle,
     random_partition,
     refine_oracle,
@@ -685,15 +686,10 @@ def test_find_isomorphism_matches_initial_and_terminal_states(marks):
     assert find_isomorphism(a, b) == (1, 0)
 
 
-def _ring(n):
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    mark = [1] + [0] * (n - 1)
-    return Nfa(n, ("x",), {"x": rel_from_pairs(n, n, edges)}, mark, mark)
-
-
 @pytest.mark.parametrize(
     "make, size",
-    [(lambda: random_nfa(600, ("x", "y"), 2 / 600, 1), 590), (lambda: _ring(300), 300)],
+    [(lambda: random_nfa(600, ("x", "y"), 2 / 600, 1), 590),
+     (lambda: line_nfa(300, True, ("x",)), 300)],
     ids=["random-600", "ring-300"],
 )
 def test_find_isomorphism_on_relabelled_fb_factors_is_the_relabelling(make, size):

@@ -62,6 +62,7 @@ from oracles import (
     fixpoint_steps_oracle,
     join_oracle,
     language_oracle,
+    line_nfa,
     refines_oracle,
     rel_from_pairs,
     reverse_oracle,
@@ -290,23 +291,11 @@ def test_forward_backward_failure_names():
 # --- the fixpoint rounds against the paper's residual round ----------------------
 
 
-def _line(n, closed, alphabet=("a", "b")):
-    """A chain (a ring when closed) stepping on the first symbol, with every
-    other symbol looping on every state; a ring's state 0 is initial and
-    terminal, a chain runs from 0 to n - 1."""
-    step = [(q, q + 1) for q in range(n - 1)] + ([(n - 1, 0)] if closed else [])
-    delta = {alphabet[0]: rel_from_pairs(n, n, step)}
-    for x in alphabet[1:]:
-        delta[x] = BoolRel(n, n, [1 << q for q in range(n)])
-    return Nfa(n, alphabet, delta, [q == 0 for q in range(n)],
-               [q == (0 if closed else n - 1) for q in range(n)])
-
-
 @st.composite
 def _automata(draw, alphabet):
     if draw(st.booleans()):
         n = draw(st.integers(1, 12))
-        return _line(n, draw(st.booleans()), alphabet)
+        return line_nfa(n, draw(st.booleans()), alphabet)
     n = draw(st.integers(1, 6))
     states = st.integers(0, n - 1)
     delta = {
@@ -432,11 +421,11 @@ def test_fb_steps_match_the_paper_rounds_on_deep_automata(n, closed, shorter):
     # relabelled copy (shorter is None), as in the benchmark's bfb cases,
     # bfb's phi_0 is nearly full and about n/2 rounds each remove about 2n
     # pairs, so each round re-tests the rows above the last round's removals.
-    a = _line(n, closed)
+    a = line_nfa(n, closed)
     if shorter is None:
         b = _blown_up(random.Random(n), a, 0)
     else:
-        b = _line(n - 1, closed) if shorter else a
+        b = line_nfa(n - 1, closed) if shorter else a
     assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
     assert backward_forward_bisim_steps(a, b) == fixpoint_steps_oracle("bfb", a, b)
 
@@ -491,7 +480,7 @@ def test_bfb_drops_symbols_that_only_loop_after_round_zero(bfb_sides):
     assert deep >= 10
     # The rings and chains of the benchmark: "b" loops on every state.
     for n, closed in ((30, True), (31, False)):
-        a = _line(n, closed)
+        a = line_nfa(n, closed)
         b = _blown_up(random.Random(n), a, 0)
         bfb_sides.clear()
         steps = backward_forward_bisim_steps(a, b)
@@ -507,7 +496,7 @@ def test_bfb_keeps_symbols_that_loop_on_one_side_only(bfb_sides):
     # still remove pairs after round 0 and is re-tested every round.
     rng = random.Random(71)
     for trial in range(30):
-        a = _line(rng.randint(4, 16), trial % 3 == 0)
+        a = line_nfa(rng.randint(4, 16), trial % 3 == 0)
         b = _blown_up(rng, a, 0)
         loose = list(b.delta["b"].row_masks)
         q = rng.randrange(b.n)
@@ -592,7 +581,7 @@ def test_fixpoint_steps_are_the_paper_rounds(pair):
     ids=["fb-chain", "bfb-chain", "bfb-ring"],
 )
 def test_fixpoint_on_256_states_takes_seconds(greatest, closed, rounds):
-    a = _line(256, closed)
+    a = line_nfa(256, closed)
     start = time.perf_counter()
     rep = greatest(a, a)
     assert time.perf_counter() - start < 10
@@ -682,16 +671,16 @@ def test_self_fb_rounds_match_the_sum(a):
     (24, False), (37, True), (58, False), (77, True), (150, False), (160, True),
 ])
 def test_self_fb_rounds_match_the_sum_on_chains_and_rings(n, closed):
-    _assert_self_path_is_the_sum_path(_line(n, closed))
+    _assert_self_path_is_the_sum_path(line_nfa(n, closed))
 
 
 @pytest.mark.parametrize("n, k", [(1, 3), (5, 2), (12, 4), (40, 3)])
 def test_self_fb_rounds_match_the_sum_on_ring_copies(n, k):
     # The copies of a state are fb and bb equivalent, so the classes merge
     # across copies, one per state of the ring.
-    a = _line(n, True)
+    a = line_nfa(n, True)
     for _ in range(k - 1):
-        a = sum_oracle(a, _line(n, True))
+        a = sum_oracle(a, line_nfa(n, True))
     assert a.n == n * k
     _assert_self_path_is_the_sum_path(a)
     assert greatest_fb_equivalence(a).num_classes == n

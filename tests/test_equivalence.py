@@ -48,6 +48,7 @@ from goldens import (
 from oracles import (
     all_partitions,
     language_oracle,
+    line_nfa,
     quotient_partition_oracle,
     random_functional_relation,
     random_uniform_relation,
@@ -132,30 +133,14 @@ def test_fb_equivalent_on_1000_sparse_states_takes_seconds():
     assert verdict.equivalent
 
 
-def _line(n, closed, name=None):
-    """A chain (a ring when closed) stepping on ``a``, with ``b`` looping on
-    every state, its state q renamed name[q]; the ring's state 0 is initial
-    and terminal, the chain runs from 0 to n - 1."""
-    name = name or range(n)
-    step = [(q, q + 1) for q in range(n - 1)] + ([(n - 1, 0)] if closed else [])
-    first, last = name[0], name[0 if closed else n - 1]
-    return Nfa(
-        n, ("a", "b"),
-        {"a": rel_from_pairs(n, n, [(name[p], name[q]) for p, q in step]),
-         "b": BoolRel(n, n, [1 << q for q in range(n)])},
-        [q == first for q in range(n)],
-        [q == last for q in range(n)],
-    )
-
-
 @pytest.mark.parametrize(
     "n, closed, limit", [(1024, False, 8), (512, True, 2)], ids=["chain-1024", "ring-512"]
 )
 def test_fb_equivalent_on_deep_automata_takes_seconds(n, closed, limit):
     # Both routes refine about n rounds (the ring's colouring about n / 2),
     # each keying only the predecessors of the states split off before.
-    a = _line(n, closed)
-    b = _line(n, closed, random.Random(n).sample(range(n), n)) if closed else a
+    a = line_nfa(n, closed)
+    b = line_nfa(n, closed, name=random.Random(n).sample(range(n), n)) if closed else a
     start = time.perf_counter()
     verdict = fb_equivalent(a, b)
     assert time.perf_counter() - start < limit
