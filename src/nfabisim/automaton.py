@@ -8,8 +8,8 @@ one-character symbols.
 from __future__ import annotations
 
 import random
-from itertools import compress, filterfalse, repeat
-from operator import ne
+from itertools import compress, filterfalse, islice, repeat
+from operator import ge, ne
 
 from .relcalc import (
     BoolRel,
@@ -53,7 +53,7 @@ class Nfa:
     initial and terminal state vectors."""
 
     __slots__ = ("n", "alphabet", "delta", "sigma", "tau", "_reversal", "_succ",
-                 "_reversed_sum", "_vectors")
+                 "_pair_search")
 
     def __init__(self, n: int, alphabet, delta, sigma, tau):
         if n < 1:
@@ -70,7 +70,7 @@ class Nfa:
         self.delta = {x: _as_rel(delta[x], n) for x in alphabet}
         self.sigma = _as_vec(sigma, n)
         self.tau = _as_vec(tau, n)
-        self._reversal = self._succ = self._reversed_sum = self._vectors = None
+        self._reversal = self._succ = self._pair_search = None
 
     def word(self, u) -> tuple:
         """Normalize a word and reject symbols outside the alphabet."""
@@ -240,15 +240,44 @@ def _successors(a: Nfa) -> list:
     successors as a rising list, ``_index_lists(a.delta[x])``.
 
     It is built at most once per automaton and kept with it, from the same
-    edges as the masks: by the parser from the edges it reads, by
-    ``reverse`` and ``_image`` from the index they read, and otherwise, for
-    an automaton built from masks, here from the masks on first use.
+    edges as the masks: by ``_from_edges`` from the edges the parser reads,
+    by ``reverse`` and ``_image`` from the index they read, and otherwise,
+    for an automaton built from masks, here from the masks on first use.
     The lists are shared, with the index of a sum too (``_sum_successors``),
     and no reader changes them.
     """
     if a._succ is None:
         a._succ = [_index_lists(a.delta[x]) for x in a.alphabet]
     return a._succ
+
+
+def _successor_rows(ends: list, n: int) -> tuple:
+    """Each state's successors as a rising list and as a mask, from source
+    and target states alternating, in any order and with repeats."""
+    pairs = list(zip(ends[::2], ends[1::2]))
+    if any(map(ge, pairs, islice(pairs, 1, None))):
+        pairs = sorted(set(pairs))
+    lists = [[] for _ in range(n)]
+    masks = [0] * n
+    for src, dst in pairs:
+        lists[src].append(dst)
+        masks[src] |= 1 << dst
+    return lists, masks
+
+
+def _from_edges(n: int, edges: dict, sigma, tau) -> Nfa:
+    """The automaton whose x-edges are ``edges[x]``, source and target
+    states alternating, over the alphabet of edges' keys in their order.
+    Its masks and its successor index are read from the same edges, so
+    ``_successors`` builds no index from the masks."""
+    delta, succ = {}, []
+    for x, ends in edges.items():
+        lists, masks = _successor_rows(ends, n)
+        delta[x] = BoolRel(n, n, masks)
+        succ.append(lists)
+    a = Nfa(n, edges, delta, sigma, tau)
+    a._succ = succ
+    return a
 
 
 def _sum_successors(a: Nfa, b: Nfa) -> list:

@@ -203,39 +203,42 @@ _HALVES = {
 }
 
 
-def _reversed_sum(a: Nfa, b: Nfa) -> Nfa:
-    """reverse(A+B), built as the sum of the reversals, which ``reverse``
-    keeps with A and B.  A and B each keep the last reversed sum they are
-    summands of, and ``nerode._vectors`` keeps its search, so the greatest
-    weak forward relation, its check and the weak isomorphism test search
-    each pair once.  Both sides keep it because a factor can be its
-    automaton itself: the factors' sum then replaces the inputs' sum on
-    that side only."""
-    for kept in (a._reversed_sum, b._reversed_sum):
-        if kept is not None and kept[0] is a and kept[1] is b:
-            return kept[2]
-    c = _sum(reverse(a), reverse(b))
-    a._reversed_sum = b._reversed_sum = (a, b, c)
-    return c
+def _terminal_vectors(a: Nfa, b: Nfa) -> list:
+    """The terminal vectors tau_u of A+B, as masks in search order: the
+    subsets ``nerode._subsets`` reaches on reverse(A+B), searched as the sum
+    of the reversals that ``reverse`` keeps with A and B.  A keeps the list
+    of its last search, keyed by B, as it keeps its reversal, so a greatest
+    weak forward relation and its check, and the weak isomorphism test and
+    its check, search each pair once."""
+    kept = a._pair_search
+    if kept is None or kept[0] is not b:
+        kept = a._pair_search = (b, _vectors(_sum(reverse(a), reverse(b))))
+    return kept[1]
 
 
-# Per weak kind: the automaton whose subsets are its vector pairs (the
-# terminal vectors tau_u of A+B, found on the reversed sum, or the initial
-# vectors sigma_u, found on A+B itself), the names of the conditions on those
-# pairs over phi and, for a bisimulation, over phi^-1, and the covering
-# conditions.
+def _initial_vectors(a: Nfa, b: Nfa) -> list:
+    """The initial vectors sigma_u of A+B, the subsets of A+B itself."""
+    return _vectors(_sum(a, b))
+
+
+# Per weak kind: the vector pairs of A and B as masks of A+B (the terminal
+# vectors tau_u or the initial vectors sigma_u), the names of the conditions
+# on those pairs over phi and, for a bisimulation, over phi^-1, and the
+# covering conditions.
 _WEAK = {
     BisimKind.WEAK_FORWARD_SIM: (
-        _reversed_sum, ("weak-terminal",), ("initial-forward",)
+        _terminal_vectors, ("weak-terminal",), ("initial-forward",)
     ),
     BisimKind.WEAK_FORWARD_BISIM: (
-        _reversed_sum,
+        _terminal_vectors,
         ("weak-terminal", "weak-terminal-rev"),
         ("initial-forward", "initial-backward"),
     ),
-    BisimKind.WEAK_BACKWARD_SIM: (_sum, ("weak-initial",), ("terminal-forward",)),
+    BisimKind.WEAK_BACKWARD_SIM: (
+        _initial_vectors, ("weak-initial",), ("terminal-forward",)
+    ),
     BisimKind.WEAK_BACKWARD_BISIM: (
-        _sum,
+        _initial_vectors,
         ("weak-initial", "weak-initial-rev"),
         ("terminal-forward", "terminal-backward"),
     ),
@@ -245,9 +248,9 @@ _WEAK = {
 def _weak_conditions(kind, a, b, phi, inv):
     """Each vector pair (S, T) of A and B must have phi's image of S inside T
     and, for a bisimulation, phi^-1's image of T inside S."""
-    search, names, cover = _WEAK[kind]
+    vectors, names, cover = _WEAK[kind]
     top = (1 << a.n) - 1
-    pairs = [(m & top, m >> a.n) for m in _vectors(search(a, b))]
+    pairs = [(m & top, m >> a.n) for m in vectors(a, b)]
     conds = []
     for name, rel, side in zip(names, (phi, inv), (0, 1)):
         image = _unions(rel.row_masks)
@@ -443,41 +446,35 @@ def _report(kind, a, b, phi, iterations, cover) -> BisimReport:
     return BisimReport(kind, phi, iterations, flags=flags)
 
 
-def _greatest(kind, a, b, seq, cover) -> BisimReport:
+def _greatest(kind, a, b, seq) -> BisimReport:
+    """Report the last relation of a strong kind's sequence.  In halves
+    order, a forward half's initial condition and a backward half's
+    terminal one are its covering conditions."""
+    cover = [initial if half is _forward_half else terminal
+             for half, _, initial, _, terminal in _HALVES[kind]]
     return _report(kind, a, b, seq[-1], len(seq) - 1, cover)
 
 
 def greatest_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest forward bisimulation, or the violated covering conditions."""
-    return _greatest(
-        BisimKind.FORWARD_BISIM, a, b, forward_bisim_steps(a, b),
-        ("initial-forward", "initial-backward"),
-    )
+    return _greatest(BisimKind.FORWARD_BISIM, a, b, forward_bisim_steps(a, b))
 
 
 def greatest_backward_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest backward-forward bisimulation, or the violated conditions."""
-    return _greatest(
-        BisimKind.BACKWARD_FORWARD_BISIM, a, b, backward_forward_bisim_steps(a, b),
-        ("terminal-forward", "initial-backward"),
-    )
+    seq = backward_forward_bisim_steps(a, b)
+    return _greatest(BisimKind.BACKWARD_FORWARD_BISIM, a, b, seq)
 
 
 def greatest_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Dual of the forward algorithm, run on the reversed automata."""
-    return _greatest(
-        BisimKind.BACKWARD_BISIM, a, b,
-        forward_bisim_steps(reverse(a), reverse(b)),
-        ("terminal-forward", "terminal-backward"),
-    )
+    seq = forward_bisim_steps(reverse(a), reverse(b))
+    return _greatest(BisimKind.BACKWARD_BISIM, a, b, seq)
 
 
 def greatest_forward_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
-    return _greatest(
-        BisimKind.FORWARD_BACKWARD_BISIM, a, b,
-        backward_forward_bisim_steps(reverse(a), reverse(b)),
-        ("initial-forward", "terminal-backward"),
-    )
+    seq = backward_forward_bisim_steps(reverse(a), reverse(b))
+    return _greatest(BisimKind.FORWARD_BACKWARD_BISIM, a, b, seq)
 
 
 def greatest_fb_equivalence(a: Nfa) -> Partition:
@@ -517,26 +514,20 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     top = (1 << a.n) - 1
     return [
         (BoolVec(a.n, m & top), BoolVec(b.n, m >> a.n))
-        for m in _vectors(_reversed_sum(a, b))
+        for m in _terminal_vectors(a, b)
     ]
-
-
-def _signatures(c: Nfa) -> tuple:
-    """The number of subsets the search over c reaches and each state's
-    signature, whose bit k says whether the state lies in the k-th subset.
-    On ``reverse(c)`` the subsets are c's terminal vectors tau_u, on c its
-    initial vectors sigma_u.  On A+B, A's states come first."""
-    vectors = _vectors(c)
-    return len(vectors), _columns(vectors, c.n)
 
 
 def _weak_greatest(kind, a, b, related) -> BisimReport:
     """The relation of the states of A and B whose signatures over the
-    vector pairs of a weak kind are ``related``, one row mask per A state."""
-    search, _, cover = _WEAK[kind]
-    count, sig = _signatures(search(a, b))
+    vector pairs of a weak kind are ``related``, one row mask per A state.
+    A state's signature has bit k set when it lies in the k-th vector of
+    A+B, where A's states come first."""
+    vectors, _, cover = _WEAK[kind]
+    masks = vectors(a, b)
+    sig = _columns(masks, a.n + b.n)
     rel = BoolRel(a.n, b.n, related(sig[:a.n], sig[a.n:]))
-    return _report(kind, a, b, rel, count, cover)
+    return _report(kind, a, b, rel, len(masks), cover)
 
 
 def _contained(sig_a, sig_b) -> list:
@@ -574,10 +565,10 @@ def wfb_equivalence_bound(a: Nfa) -> Partition:
     """Greatest weak-forward-bisimulation equivalence: states grouped by
     agreeing on every reachable terminal vector.  Every equivalence below it
     is again a weak forward bisimulation; none above it is."""
-    return Partition(_signatures(reverse(a))[1])
+    return Partition(_columns(_vectors(reverse(a)), a.n))
 
 
 def wbb_equivalence_bound(a: Nfa) -> Partition:
     """The same over the initial vectors: states grouped by agreeing on
     every reachable sigma_u."""
-    return Partition(_signatures(a)[1])
+    return Partition(_columns(_vectors(a), a.n))

@@ -30,11 +30,10 @@ import argparse
 import functools
 import re
 import sys
-from itertools import compress, islice
-from operator import ge
+from itertools import compress
 
 from . import equivalence
-from .automaton import Nfa, _successors, random_nfa
+from .automaton import Nfa, _from_edges, _successors, random_nfa
 from .bisim import (
     BisimKind,
     check,
@@ -157,20 +156,6 @@ def _transitions(rest: str, names: dict, source: str, lineno: int) -> list:
     return ends
 
 
-def _successor_rows(ends: list, n: int) -> tuple:
-    """Each state's successors as a rising list and as a mask, from source
-    and target states alternating, in any order and with repeats."""
-    pairs = list(zip(ends[::2], ends[1::2]))
-    if any(map(ge, pairs, islice(pairs, 1, None))):
-        pairs = sorted(set(pairs))
-    lists = [[] for _ in range(n)]
-    masks = [0] * n
-    for src, dst in pairs:
-        lists[src].append(dst)
-        masks[src] |= 1 << dst
-    return lists, masks
-
-
 def parse_nfa(text: str, source: str = "<string>") -> Nfa:
     """Parse the automaton text format; raises ParseError with a line number."""
     lines = list(_meaningful_lines(text))
@@ -239,22 +224,13 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
         seen.add(head)
         transitions[head] = _transitions(rest, names, source, lineno)
 
-    delta, succ = {}, []
-    for x, ends in transitions.items():
-        lists, masks = _successor_rows(ends, n)
-        delta[x] = BoolRel(n, n, masks)
-        succ.append(lists)
     sigma = [0] * n
     for q in initial:
         sigma[q] = 1
     tau = [0] * n
     for q in terminal:
         tau[q] = 1
-    a = Nfa(n, symbols, delta, sigma, tau)
-    # Read from the same edges as the masks, the successor index that
-    # ``automaton._successors`` would otherwise build from them.
-    a._succ = succ
-    return a
+    return _from_edges(n, transitions, sigma, tau)
 
 
 def format_nfa(a: Nfa) -> str:

@@ -22,8 +22,7 @@ from .automaton import (
 )
 from .bisim import (
     BisimKind,
-    _reversed_sum,
-    _signatures,
+    _terminal_vectors,
     check,
     greatest_bb_equivalence,
     greatest_fb_equivalence,
@@ -37,6 +36,7 @@ from .nerode import _subsets
 from .relcalc import (
     BoolRel,
     Partition,
+    _columns,
     _unions,
     cokernel,
     compose,
@@ -97,14 +97,15 @@ def _two_routes(a, b, greatest, classes, match, route) -> EquivVerdict:
     ``match`` between the factors.  The routes must agree, and a positive
     witness is re-verified against the definitions: the relation here, the
     mapping by ``match`` itself, which checks every mapping it returns.
+    The relation is checked before route two runs, so the check reads what
+    route one kept with A (``bisim._terminal_vectors``), but a disagreement
+    of the routes is reported first.
     """
     _require_same_alphabet(a, b)
     rep = greatest(a, b)
-    direct = (
-        rep.relation is not None
-        and is_complete(rep.relation)
-        and is_surjective(rep.relation)
-    )
+    phi = rep.relation
+    direct = phi is not None and is_complete(phi) and is_surjective(phi)
+    verified = direct and is_uniform(phi) and check(rep.kind, a, b, phi).ok
     e_a, e_b = classes(a), classes(b)
     factored_a, factored_b = factor(a, e_a), factor(b, e_b)
     mapping = match(factored_a, factored_b)
@@ -116,8 +117,7 @@ def _two_routes(a, b, greatest, classes, match, route) -> EquivVerdict:
     method = rep.kind.value
     if not direct:
         return EquivVerdict(False, method)
-    phi = rep.relation
-    if not (is_uniform(phi) and check(rep.kind, a, b, phi).ok):
+    if not verified:
         raise AssertionError("witness failed re-verification")
     return EquivVerdict(True, method, EquivWitness(phi, mapping, e_a, e_b))
 
@@ -198,9 +198,9 @@ def language_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
 def _weak_signatures(a: Nfa, b: Nfa):
     """Per-state membership signatures over sigma and the reachable
     terminal vectors: bit 0 for sigma and bit k + 1 for the k-th pair."""
-    c = _reversed_sum(a, b)
-    sig = _signatures(c)[1]
-    sig = [s << 1 | c.tau.mask >> i & 1 for i, s in enumerate(sig)]
+    sigma = a.sigma.mask | b.sigma.mask << a.n
+    sig = _columns(_terminal_vectors(a, b), a.n + b.n)
+    sig = [s << 1 | sigma >> i & 1 for i, s in enumerate(sig)]
     return sig[:a.n], sig[a.n:]
 
 

@@ -87,13 +87,10 @@ def _subsets(a: Nfa):
 
 
 def _vectors(a: Nfa) -> list:
-    """The subsets ``_subsets`` yields on a, as masks in search order.  The
-    search runs at most once per automaton and its list is kept with it, so
-    the weak relations, their checks and the weak isomorphism test that
-    search one automaton share the search."""
-    if a._vectors is None:
-        a._vectors = [mask for mask, _ in _subsets(a)]
-    return a._vectors
+    """The subsets ``_subsets`` yields on a, as masks in search order.  It
+    keeps nothing: ``bisim._terminal_vectors`` keeps the one list that a
+    command reads twice."""
+    return [mask for mask, _ in _subsets(a)]
 
 
 def _determinize(a: Nfa) -> Dfa:

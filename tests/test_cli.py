@@ -367,11 +367,11 @@ def _subset_searches(monkeypatch):
 
 @pytest.mark.parametrize("left, right, code, searched, out", [
     # The reversed sum of A and B, each reversal, and the reversed sum of
-    # the factors.  The isomorphism test and the check read the vectors of
-    # the sums they share with the matcher and the greatest relation.
+    # the factors.  Each check reads the vectors that the greatest relation
+    # or the matcher kept with the left automaton.
     ("weak_a", "weak_b", 0, [6, 4, 2, 4], "EQUIVALENT\n10\n10\n01\n10\n"),
-    # fwd_a is its own factor: the factors' sum replaces only A's kept sum,
-    # and B's side still keeps the sum of the inputs.
+    # fwd_a is its own factor: the factors' search replaces the inputs'
+    # search that A keeps, which the relation's check has read by then.
     ("fwd_a", "fwd_b", 0, [8, 3, 5, 6], "EQUIVALENT\n11000\n00010\n00101\n"),
     # A negative verdict runs no check, and here the factors' signatures
     # differ, so the matching is never checked against the definition.
@@ -463,7 +463,14 @@ def test_cmd_reduce_runs_no_fixpoint(tmp_path, monkeypatch, capsys):
         + "".join(f" {q}->{q + 1}" for q in range(63))
         + "\nb:" + "".join(f" {q}->{q}" for q in range(64)) + "\n"
     )
-    paths = sorted(glob.glob(os.path.join(DATA, "*.nfa"))) + [str(chain)]
+    # One fb and one bb step leave 3 of these 6 states; a second pass
+    # leaves 2.
+    twice = tmp_path / "twice.nfa"
+    twice.write_text(
+        "states 6\nalphabet x\ninitial 3\nterminal 2 3\n"
+        "x: 0->2 0->3 2->2 2->4 3->3 4->0 5->2 5->5\n"
+    )
+    paths = sorted(glob.glob(os.path.join(DATA, "*.nfa"))) + [str(chain), str(twice)]
     modes = ("fb", "bb", "alternate")
     expected = {
         (path, mode): format_nfa(_reduce_by_fixpoint(parse_nfa(open(path).read()), mode))
@@ -480,6 +487,7 @@ def test_cmd_reduce_runs_no_fixpoint(tmp_path, monkeypatch, capsys):
             assert main(["reduce", "--mode", mode, path]) == 0
             assert capsys.readouterr().out == expected[path, mode]
     assert expected[str(chain), "alternate"].startswith("states 64\n")
+    assert expected[str(twice), "alternate"].startswith("states 2\n")
 
 
 def test_cmd_determinize(capsys):
