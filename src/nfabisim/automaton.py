@@ -8,7 +8,7 @@ one-character symbols.
 from __future__ import annotations
 
 import random
-from itertools import compress, filterfalse, islice, repeat
+from itertools import compress, filterfalse, repeat
 from operator import ge, ne
 
 from .relcalc import (
@@ -52,7 +52,7 @@ class Nfa:
     """Nondeterministic automaton: per-symbol transition relations plus
     initial and terminal state vectors."""
 
-    __slots__ = ("n", "alphabet", "delta", "sigma", "tau", "_reversal", "_succ",
+    __slots__ = ("n", "alphabet", "_delta", "sigma", "tau", "_reversal", "_succ",
                  "_pair_search")
 
     def __init__(self, n: int, alphabet, delta, sigma, tau):
@@ -67,16 +67,33 @@ class Nfa:
             raise ValueError("transition table must cover exactly the alphabet")
         self.n = n
         self.alphabet = alphabet
-        self.delta = {x: _as_rel(delta[x], n) for x in alphabet}
+        self._delta = {x: _as_rel(delta[x], n) for x in alphabet}
         self.sigma = _as_vec(sigma, n)
         self.tau = _as_vec(tau, n)
         self._reversal = self._succ = self._pair_search = None
+
+    @property
+    def delta(self) -> dict:
+        """Per symbol, the transition relation as row masks: those given to
+        ``Nfa(...)``, or for an automaton built from its successor index
+        (``_from_index``) built here on first read, each row from its list."""
+        if self._delta is None:
+            self._delta = {}
+            for x, lists in zip(self.alphabet, self._succ):
+                masks = []  # on rows of a few states a loop beats a call
+                for row in lists:
+                    m = 0
+                    for j in row:
+                        m |= 1 << j
+                    masks.append(m)
+                self._delta[x] = BoolRel(self.n, self.n, masks)
+        return self._delta
 
     def word(self, u) -> tuple:
         """Normalize a word and reject symbols outside the alphabet."""
         syms = tuple(u)
         for s in syms:
-            if s not in self.delta:
+            if s not in self.alphabet:
                 raise ValueError(f"unknown symbol {s!r}")
         return syms
 
@@ -119,25 +136,19 @@ def reverse(a: Nfa) -> Nfa:
     automaton and its reversal keep each other, so ``reverse(reverse(a))``
     is ``a`` and the predecessors by x are ``reverse(a).delta[x]``.
 
-    One pass over a's successor index per symbol fills both the reversal's
-    masks and its own index: sources are visited in rising order, so each
+    The reversal is built from its successor index alone, filled in one
+    pass over a's per symbol: sources are visited in rising order, so each
     predecessor list comes out rising.
     """
     if a._reversal is None:
-        n = a.n
-        delta, index = {}, []
-        for x, succ in zip(a.alphabet, _successors(a)):
-            preds = [[] for _ in range(n)]
-            masks = [0] * n
+        index = []
+        for succ in _successors(a):
+            preds = [[] for _ in range(a.n)]
             for i, row in enumerate(succ):
-                bit = 1 << i
                 for j in row:
                     preds[j].append(i)
-                    masks[j] |= bit
-            delta[x] = BoolRel(n, n, masks)
             index.append(preds)
-        r = Nfa(n, a.alphabet, delta, a.tau, a.sigma)
-        r._succ = index
+        r = _from_index(a.n, a.alphabet, index, a.tau.mask, a.sigma.mask)
         a._reversal, r._reversal = r, a
     return a._reversal
 
@@ -145,20 +156,17 @@ def reverse(a: Nfa) -> Nfa:
 def _sum(a: Nfa, b: Nfa) -> Nfa:
     """The disjoint union A+B in A's alphabet order, B's state j renamed
     a.n + j.  No edge crosses sides, so sigma_u and tau_u of A+B split at
-    a.n into those of A and of B."""
+    a.n into those of A and of B.
+
+    It is built from its successor index alone, joined from those of A and
+    B: A's lists as they are, then B's, looked up by symbol and shifted by
+    a.n.  A's lists are shared, and no reader changes them."""
     _require_same_alphabet(a, b)
-    n = a.n + b.n
-    rows = {
-        x: a.delta[x].row_masks + tuple(m << a.n for m in b.delta[x].row_masks)
-        for x in a.alphabet
-    }
-    return Nfa(
-        n,
-        a.alphabet,
-        {x: BoolRel(n, n, r) for x, r in rows.items()},
-        BoolVec(n, a.sigma.mask | b.sigma.mask << a.n),
-        BoolVec(n, a.tau.mask | b.tau.mask << a.n),
-    )
+    off, by_symbol = a.n, dict(zip(b.alphabet, _successors(b)))
+    index = [lists + [[j + off for j in row] for row in by_symbol[x]]
+             for x, lists in zip(a.alphabet, _successors(a))]
+    return _from_index(off + b.n, a.alphabet, index, a.sigma.mask | b.sigma.mask << off,
+                       a.tau.mask | b.tau.mask << off)
 
 
 def _image(a: Nfa, targets, cols: int) -> Nfa:
@@ -167,36 +175,28 @@ def _image(a: Nfa, targets, cols: int) -> Nfa:
     or terminal when a state mapped onto it is.  A class map gives the
     quotient, and a bijection a relabelled copy.
 
-    One pass over a's successor index per symbol ORs each edge's target bit
-    into its row and, the first time the bit is set, appends the target to
-    the row's list, so the image gets its own index, sorted and without
-    repeats, from the same edges as its masks.
+    The image is built from its successor index alone, in one pass over
+    a's per symbol: an edge appends its target to row targets[i]'s list
+    unless the row's mask of seen targets has it, and each list is sorted.
     """
     bits = [1 << t for t in targets]
-    delta, index = {}, []
-    for x, succ in zip(a.alphabet, _successors(a)):
-        rows = [0] * cols
+    index = []
+    for succ in _successors(a):
+        seen = [0] * cols
         lists = [[] for _ in range(cols)]
         for t, row in zip(targets, succ):
-            m = rows[t]
-            out = lists[t]
+            m, out = seen[t], lists[t]
             for j in row:
                 bit = bits[j]
                 if not m & bit:
                     m |= bit
                     out.append(targets[j])
-            rows[t] = m
+            seen[t] = m
         for out in lists:
             out.sort()
-        delta[x] = BoolRel(cols, cols, rows)
         index.append(lists)
-    sigma, tau = (
-        sum(1 << t for t in {targets[i] for i in _bit_indices(v.mask)})
-        for v in (a.sigma, a.tau)
-    )
-    c = Nfa(cols, a.alphabet, delta, BoolVec(cols, sigma), BoolVec(cols, tau))
-    c._succ = index
-    return c
+    sigma, tau = (sum({bits[i] for i in _bit_indices(v.mask)}) for v in (a.sigma, a.tau))
+    return _from_index(cols, a.alphabet, index, sigma, tau)
 
 
 def _is_bijection(a: Nfa, b: Nfa, phi) -> bool:
@@ -223,11 +223,13 @@ def factor(a: Nfa, e: Partition) -> Nfa:
 
 def is_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     """Definition check: phi is a state bijection preserving transitions,
-    initial states, and terminal states."""
+    initial states, and terminal states.  The image of a under phi is
+    compared with b through their successor indices, symbol by symbol."""
     if not _is_bijection(a, b, phi):
         return False
-    image = _image(a, phi, b.n)
-    return (image.sigma, image.tau, image.delta) == (b.sigma, b.tau, b.delta)
+    image, by_symbol = _image(a, phi, b.n), dict(zip(b.alphabet, _successors(b)))
+    return (image.sigma == b.sigma and image.tau == b.tau
+            and _successors(image) == list(map(by_symbol.get, a.alphabet)))
 
 
 def _index_lists(rel: BoolRel) -> list:
@@ -239,60 +241,48 @@ def _successors(a: Nfa) -> list:
     """a's successor index: per symbol in alphabet order, each state's
     successors as a rising list, ``_index_lists(a.delta[x])``.
 
-    It is built at most once per automaton and kept with it, from the same
-    edges as the masks: by ``_from_edges`` from the edges the parser reads,
-    by ``reverse`` and ``_image`` from the index they read, and otherwise,
-    for an automaton built from masks, here from the masks on first use.
-    The lists are shared, with the index of a sum too (``_sum_successors``),
-    and no reader changes them.
+    It is the one format the program's builders write (``_from_index``:
+    ``_from_edges`` for the parser, ``reverse``, ``_image`` and ``_sum``),
+    and ``Nfa.delta`` builds their masks from it on first read.  Only an
+    automaton given masks (``Nfa(...)``: ``random_nfa``, tests) builds its
+    index here, on first use.  The lists are shared and no reader changes
+    them.
     """
     if a._succ is None:
         a._succ = [_index_lists(a.delta[x]) for x in a.alphabet]
     return a._succ
 
 
-def _successor_rows(ends: list, n: int) -> tuple:
-    """Each state's successors as a rising list and as a mask, from source
-    and target states alternating, in any order and with repeats."""
-    pairs = list(zip(ends[::2], ends[1::2]))
-    if any(map(ge, pairs, islice(pairs, 1, None))):
-        pairs = sorted(set(pairs))
-    lists = [[] for _ in range(n)]
-    masks = [0] * n
-    for src, dst in pairs:
-        lists[src].append(dst)
-        masks[src] |= 1 << dst
-    return lists, masks
+def _from_index(n: int, alphabet, index: list, sigma, tau) -> Nfa:
+    """The automaton whose successor index is ``index``, in the order of
+    ``alphabet``, with initial and terminal state masks sigma and tau.  The
+    inputs are trusted: each caller derives them from a valid automaton or
+    from checked text."""
+    a = Nfa.__new__(Nfa)
+    a.n, a.alphabet = n, tuple(alphabet)
+    a.sigma, a.tau = BoolVec(n, sigma), BoolVec(n, tau)
+    a._delta = a._reversal = a._pair_search = None
+    a._succ = index
+    return a
 
 
 def _from_edges(n: int, edges: dict, sigma, tau) -> Nfa:
     """The automaton whose x-edges are ``edges[x]``, source and target
-    states alternating, over the alphabet of edges' keys in their order.
-    Its masks and its successor index are read from the same edges, so
-    ``_successors`` builds no index from the masks."""
-    delta, succ = {}, []
-    for x, ends in edges.items():
-        lists, masks = _successor_rows(ends, n)
-        delta[x] = BoolRel(n, n, masks)
-        succ.append(lists)
-    a = Nfa(n, edges, delta, sigma, tau)
-    a._succ = succ
-    return a
-
-
-def _sum_successors(a: Nfa, b: Nfa) -> list:
-    """The successor index of A+B, ``_successors(_sum(a, b))``, joined from
-    the indices of A and B: A's lists as they are, then B's, looked up by
-    symbol and shifted by a.n.  The refinements over A+B read only this, so
-    they build no masks of the sum, and the subset searches over ``_sum``
-    build no lists."""
-    _require_same_alphabet(a, b)
-    off = a.n
-    by_symbol = dict(zip(b.alphabet, _successors(b)))
-    return [
-        lists + [[j + off for j in row] for row in by_symbol[x]]
-        for x, lists in zip(a.alphabet, _successors(a))
-    ]
+    states alternating, in any order and with repeats, over the alphabet of
+    edges' keys in their order, as the parser reads them.  Each edge is
+    appended to its source's list, after a line whose edges come out of
+    order or repeated is sorted and freed of repeats."""
+    index = []
+    for ends in edges.values():
+        srcs, dsts = ends[::2], ends[1::2]
+        pairs = zip(srcs, dsts)
+        if any(map(ge, zip(srcs, dsts), zip(srcs[1:], dsts[1:]))):
+            pairs = sorted(set(pairs))
+        lists = [[] for _ in range(n)]
+        for src, dst in pairs:
+            lists[src].append(dst)
+        index.append(lists)
+    return _from_index(n, edges, index, sigma, tau)
 
 
 def _refine(block: list, tables):
@@ -409,10 +399,9 @@ def find_isomorphism(a: Nfa, b: Nfa):
     if a.n != b.n:
         return None
     n = a.n
-    sigma = a.sigma.mask | b.sigma.mask << n
-    tau = a.tau.mask | b.tau.mask << n
-    block = [2 * (sigma >> i & 1) + (tau >> i & 1) for i in range(2 * n)]
-    for block, _ in _refine(block, _sum_successors(a, b)):
+    s = _sum(a, b)
+    block = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
+    for block, _ in _refine(block, _successors(s)):
         pass
     if sorted(block[:n]) != sorted(block[n:]):
         return None

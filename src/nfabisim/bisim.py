@@ -50,7 +50,6 @@ from .automaton import (
     _require_same_alphabet,
     _successors,
     _sum,
-    _sum_successors,
     reverse,
 )
 from .nerode import _vectors
@@ -205,20 +204,20 @@ _HALVES = {
 
 def _terminal_vectors(a: Nfa, b: Nfa) -> list:
     """The terminal vectors tau_u of A+B, as masks in search order: the
-    subsets ``nerode._subsets`` reaches on reverse(A+B), searched as the sum
-    of the reversals that ``reverse`` keeps with A and B.  A keeps the list
-    of its last search, keyed by B, as it keeps its reversal, so a greatest
-    weak forward relation and its check, and the weak isomorphism test and
-    its check, search each pair once."""
+    subsets ``nerode._subsets`` reaches on reverse(A+B), searched as the
+    pair of the reversals that ``reverse`` keeps with A and B.  A keeps the
+    list of its last search, keyed by B, as it keeps its reversal, so a
+    greatest weak forward relation and its check, and the weak isomorphism
+    test and its check, search each pair once."""
     kept = a._pair_search
     if kept is None or kept[0] is not b:
-        kept = a._pair_search = (b, _vectors(_sum(reverse(a), reverse(b))))
+        kept = a._pair_search = (b, _vectors(reverse(a), reverse(b)))
     return kept[1]
 
 
 def _initial_vectors(a: Nfa, b: Nfa) -> list:
     """The initial vectors sigma_u of A+B, the subsets of A+B itself."""
-    return _vectors(_sum(a, b))
+    return _vectors(a, b)
 
 
 # Per weak kind: the vector pairs of A and B as masks of A+B (the terminal
@@ -348,11 +347,10 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     The sequence ends as the paper's does, once phi repeats or is empty,
     even while blocks inside A or inside B still split.
     """
-    off, succ = (0, _successors(a)) if b is a else (a.n, _sum_successors(a, b))
-    tau = a.tau.mask | b.tau.mask << off
-    block = [tau >> i & 1 for i in range(off + b.n)]
+    off, s = (0, a) if b is a else (a.n, _sum(a, b))
+    block = [s.tau.mask >> i & 1 for i in range(s.n)]
     masks = defaultdict(int, {0: ~b.tau.mask & (1 << b.n) - 1, 1: b.tau.mask})
-    rounds = _refine(block, succ)
+    rounds = _refine(block, _successors(s))
     seq = []
     while True:
         rows = tuple(map(masks.__getitem__, block[:a.n]))

@@ -224,12 +224,7 @@ def parse_nfa(text: str, source: str = "<string>") -> Nfa:
         seen.add(head)
         transitions[head] = _transitions(rest, names, source, lineno)
 
-    sigma = [0] * n
-    for q in initial:
-        sigma[q] = 1
-    tau = [0] * n
-    for q in terminal:
-        tau[q] = 1
+    sigma, tau = (sum(1 << q for q in set(states)) for states in (initial, terminal))
     return _from_edges(n, transitions, sigma, tau)
 
 

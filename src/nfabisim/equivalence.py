@@ -14,7 +14,6 @@ from .automaton import (
     Nfa,
     _is_bijection,
     _require_same_alphabet,
-    _sum,
     accepts,
     factor,
     find_isomorphism,
@@ -180,7 +179,7 @@ def language_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     tau_a, tau_b = a.tau.mask, b.tau.mask << a.n
     # links[q]: the subset that first reached subset q, and the symbol.
     links = [None]
-    for p, (mask, row) in enumerate(_subsets(_sum(a, b))):
+    for p, (mask, row) in enumerate(_subsets(a, b)):
         if bool(mask & tau_a) != bool(mask & tau_b):
             word, q = (), p
             while links[q] is not None:

@@ -3,7 +3,7 @@ breadth-first subset search."""
 
 from __future__ import annotations
 
-from .automaton import Nfa, reverse
+from .automaton import Nfa, _require_same_alphabet, reverse
 from .relcalc import BoolVec, _unions
 
 __all__ = ["Dfa", "nerode", "reverse_nerode"]
@@ -49,29 +49,39 @@ class Dfa:
         return f"<Dfa {self.m} states, alphabet {','.join(self.alphabet)}>"
 
 
-def _subsets(a: Nfa):
-    """Breadth-first search over the subsets sigma_u of a, for all words u.
+def _subsets(a: Nfa, b: Nfa | None = None):
+    """Breadth-first search over the subsets sigma_u of a, for all words u,
+    or, given b, over those of the disjoint union A+B, B's state j taken as
+    state a.n + j, without building A+B.
 
     The search starts from sigma and closes it under appending one symbol,
     in a's alphabet order.  Each state's successor masks for all k symbols
     are packed into one int, symbol t at bit offset t * n, so one
     ``_unions`` over the packed rows steps a subset by every symbol at once,
-    and a shift and a mask cut the image into its k successor subsets.  It
-    yields each distinct subset once, as a mask, with its row: entry t is
-    the index of the subset its t-th symbol leads to, indices counting
-    subsets in the order they are yielded.  So the q-th subset is first
-    reached through its length-lex-least word.  On ``reverse(a)`` the
-    subsets are the terminal vectors tau_u of a.
+    and a shift and a mask cut the image into its k successor subsets.  A
+    pair's rows are A's masks and B's shifted by a.n, read from ``delta``,
+    which each automaton builds once.  It yields each distinct subset once,
+    as a mask, with its row: entry t is the index of the subset its t-th
+    symbol leads to, indices counting subsets in the order they are
+    yielded.  So the q-th subset is first reached through its
+    length-lex-least word.  On ``reverse(a)`` the subsets are the terminal
+    vectors tau_u of a.
     """
-    n = a.n
+    n, sigma = a.n, a.sigma.mask
+    rows = [a.delta[x].row_masks for x in a.alphabet]
+    if b is not None:
+        _require_same_alphabet(a, b)
+        n, sigma = a.n + b.n, sigma | b.sigma.mask << a.n
+        rows = [r + tuple(m << a.n for m in b.delta[x].row_masks)
+                for x, r in zip(a.alphabet, rows)]
     offsets = range(0, n * len(a.alphabet), n)
-    packed = a.delta[a.alphabet[0]].row_masks
-    for offset, x in zip(offsets[1:], a.alphabet[1:]):
-        packed = [p | m << offset for p, m in zip(packed, a.delta[x].row_masks)]
+    packed = rows[0]
+    for offset, r in zip(offsets[1:], rows[1:]):
+        packed = [p | m << offset for p, m in zip(packed, r)]
     step = _unions(packed)
     top = (1 << n) - 1
-    index = {a.sigma.mask: 0}
-    order = [a.sigma.mask]
+    index = {sigma: 0}
+    order = [sigma]
     # The list doubles as the queue: iteration reaches every appended mask.
     for mask in order:
         image = step(mask)
@@ -86,11 +96,11 @@ def _subsets(a: Nfa):
         yield mask, row
 
 
-def _vectors(a: Nfa) -> list:
-    """The subsets ``_subsets`` yields on a, as masks in search order.  It
-    keeps nothing: ``bisim._terminal_vectors`` keeps the one list that a
-    command reads twice."""
-    return [mask for mask, _ in _subsets(a)]
+def _vectors(a: Nfa, b: Nfa | None = None) -> list:
+    """The subsets ``_subsets`` yields on a, or on A+B, as masks in search
+    order.  It keeps nothing: ``bisim._terminal_vectors`` keeps the one list
+    that a command reads twice."""
+    return [mask for mask, _ in _subsets(a, b)]
 
 
 def _determinize(a: Nfa) -> Dfa:

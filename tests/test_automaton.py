@@ -15,7 +15,6 @@ from nfabisim.automaton import (
     _refine,
     _successors,
     _sum,
-    _sum_successors,
     accepts,
     factor,
     find_isomorphism,
@@ -32,7 +31,8 @@ from nfabisim.bisim import (
     greatest_fb_equivalence,
     greatest_forward_bisim,
 )
-from nfabisim.cli import format_nfa, parse_nfa
+from nfabisim import automaton
+from nfabisim.cli import format_nfa, main, parse_nfa
 from nfabisim.equivalence import is_weak_forward_isomorphism
 from nfabisim.relcalc import (
     BoolRel,
@@ -258,7 +258,8 @@ def test_every_automaton_builds_the_index_of_its_masks_once():
 def test_the_index_of_a_sum_joins_those_of_its_parts():
     # B declares its alphabet in another order: its lists are looked up by
     # symbol, and A+B keeps A's order.  A's lists are shared, and a part
-    # without an index builds its own once.
+    # without an index builds its own once.  The sum is built from the
+    # joined index alone, and its masks are built only when read.
     rng = random.Random(47)
     for _ in range(30):
         alphabet = ("x", "y", "z")[:rng.randint(1, 3)]
@@ -266,13 +267,15 @@ def test_the_index_of_a_sum_joins_those_of_its_parts():
                            rng.randrange(1 << 30)) for _ in range(2))
         b = Nfa(b.n, alphabet[::-1], b.delta, b.sigma, b.tau)
         a = parse_nfa(format_nfa(a))
-        joined = _sum_successors(a, b)
-        assert joined == _from_masks(_sum(a, b))
+        s = _sum(a, b)
+        joined = _successors(s)
+        assert joined is s._succ and s._delta is None
+        assert joined == _from_masks(sum_oracle(a, b))
         assert all(mine is part
                    for lists, own in zip(joined, a._succ)
                    for mine, part in zip(lists, own))
-        assert b._succ is not None and _sum_successors(a, b) == joined
-        assert _sum(a, b)._succ is None
+        assert b._succ is not None and _successors(_sum(a, b)) == joined
+        assert s == sum_oracle(a, b) and s.delta is s.delta
 
 
 def _frozen(index):
@@ -292,7 +295,7 @@ def test_readers_leave_the_shared_lists_unchanged():
         autos = (a, b, reverse(a), reverse(b))
         before = [_frozen(_successors(c)) for c in autos]
         s = _sum(a, b)
-        for _ in _refine([s.tau.mask >> i & 1 for i in range(s.n)], _sum_successors(a, b)):
+        for _ in _refine([s.tau.mask >> i & 1 for i in range(s.n)], _successors(s)):
             pass
         forward_bisim_steps(a, b)
         backward_forward_bisim_steps(a, b)
@@ -355,6 +358,59 @@ def test_state_map_images_carry_the_index_of_their_masks():
         copy = _image(c, perm, c.n)
         assert isomorphism_oracle(c, copy, perm)
         assert copy._succ == _from_masks(copy)
+
+
+def test_masks_are_derived_from_the_index_once_on_first_read():
+    # Reversals, images and sums are built from their index alone; the
+    # masks their first read derives must equal the oracles', and a second
+    # read returns the same table.
+    rng = random.Random(52)
+    for c in _index_sources(rng):
+        assert c.delta is c.delta
+        r = reverse(c)
+        e = random_partition(rng, c.n, rng.randint(1, c.n))
+        quotient = _image(c, e.class_of, e.num_classes)
+        perm = tuple(rng.sample(range(c.n), c.n))
+        copy = _image(c, perm, c.n)
+        s = _sum(c, r)
+        assert all(d._delta is None for d in (r, quotient, copy, s))
+        assert r.delta == reverse_oracle(c).delta
+        assert quotient.delta == factor_oracle(c, e).delta
+        assert isomorphism_oracle(c, copy, perm)
+        assert s.delta == {
+            x: BoolRel(s.n, s.n, c.delta[x].row_masks
+                       + tuple(m << c.n for m in r.delta[x].row_masks))
+            for x in c.alphabet
+        }
+        assert all(d.delta is d.delta for d in (r, quotient, copy, s))
+
+
+def test_reduce_and_printing_build_no_masks(tmp_path, monkeypatch, capsys):
+    # The parser, the reductions and the printer read and write the index
+    # alone: no automaton that a reduce command builds, the parsed one
+    # included, ever builds its masks.
+    from_index, built = automaton._from_index, []
+
+    def recording(*args):
+        built.append(from_index(*args))
+        return built[-1]
+
+    monkeypatch.setattr(automaton, "_from_index", recording)
+    rng = random.Random(53)
+    ring = line_nfa(5, True)
+    inputs = [line_nfa(9, False), sum_oracle(ring, sum_oracle(ring, ring))]
+    inputs += [random_nfa(rng.randint(1, 9), ("x", "y"), rng.choice((0.2, 0.5)),
+                          rng.randrange(1 << 30)) for _ in range(12)]
+    path = tmp_path / "a.nfa"
+    for a in inputs:
+        path.write_text(format_nfa(a), encoding="utf-8")
+        for mode in ("fb", "bb", "alternate"):
+            built.clear()
+            assert main(["reduce", "--mode", mode, str(path)]) == 0
+            out = capsys.readouterr().out
+            # The three ring copies merge into one ring: a quotient is built.
+            assert out.startswith("states 5\n" if a.n == 15 else "states ")
+            assert built and all(c._delta is None for c in built)
 
 
 # --- factor automata ---------------------------------------------------------

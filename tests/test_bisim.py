@@ -690,9 +690,10 @@ def test_self_fb_rounds_match_the_sum_on_ring_copies(n, k):
 def test_self_bb_refines_the_reversal_alone(monkeypatch):
     # reverse(A) is one object however often it is asked for, so bb of A
     # against itself runs the forward rounds on reverse(A) alone and never
-    # builds the sum of two reversals.
+    # builds the sum of two reversals.  fb of A against itself refines A
+    # alone too, and the greatest equivalences build no sum either.
     def no_sum(a, b):
-        raise AssertionError("bb of an automaton against itself built a sum")
+        raise AssertionError("an automaton against itself built a sum")
 
     monkeypatch.setattr(bisim, "_sum", no_sum)
     rng = random.Random(84)
@@ -704,6 +705,9 @@ def test_self_bb_refines_the_reversal_alone(monkeypatch):
         expected = fixpoint_steps_oracle("fb", back, back)[-1]
         assert greatest_backward_bisim(a, a).relation == expected
         assert greatest_bb_equivalence(a) == Partition.from_relation(expected)
+        forward = fixpoint_steps_oracle("fb", a, a)[-1]
+        assert greatest_forward_bisim(a, a).relation == forward
+        assert greatest_fb_equivalence(a) == Partition.from_relation(forward)
 
 
 def test_greatest_fb_equivalence_golden():

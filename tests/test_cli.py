@@ -357,9 +357,9 @@ def _subset_searches(monkeypatch):
     searched = []
     original = module._subsets
 
-    def counting(a):
-        searched.append(a.n)
-        return original(a)
+    def counting(a, b=None):
+        searched.append(a.n + (b.n if b else 0))
+        return original(a, b)
 
     monkeypatch.setattr(module, "_subsets", counting)
     return searched
