@@ -3,7 +3,8 @@ forward, backward-forward, and weak bisimulations over a Boolean relation
 calculus.
 
 The package exports exactly the names in the ``__all__`` of its library
-modules; ``cli`` and ``selftest`` are imported on their own."""
+modules; ``cli`` is imported on its own and loads ``selftest`` only for
+that command."""
 
 from .relcalc import *
 from .automaton import *

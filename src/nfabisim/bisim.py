@@ -40,7 +40,6 @@ on the vector pairs its greatest relation reads.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -57,6 +56,7 @@ from .relcalc import (
     BoolRel,
     BoolVec,
     Partition,
+    _Record,
     _columns,
     _unions,
     arrow_left,
@@ -104,10 +104,10 @@ class BisimKind(Enum):
     WEAK_BACKWARD_BISIM = "wbb"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of a definition check with one entry per defining condition."""
 
+    __slots__ = ("kind", "ok", "conditions")
     kind: BisimKind
     ok: bool
     conditions: tuple
@@ -116,8 +116,7 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class BisimReport:
+class BisimReport(_Record):
     """Result of a greatest-relation computation.
 
     Exactly one of ``relation`` and ``failure`` is set.  ``iterations`` counts
@@ -126,13 +125,16 @@ class BisimReport:
     relation has no pairs (possible only with empty initial vectors).
     """
 
+    __slots__ = ("kind", "relation", "iterations", "failure", "flags")
+    _defaults = {"failure": None, "flags": ()}
     kind: BisimKind
     relation: BoolRel | None
     iterations: int
-    failure: tuple | None = None
-    flags: tuple = ()
+    failure: tuple | None
+    flags: tuple
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if (self.relation is None) == (self.failure is None):
             raise ValueError("exactly one of relation and failure must be set")
 

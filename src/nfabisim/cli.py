@@ -47,7 +47,6 @@ from .bisim import (
 )
 from .nerode import Dfa, nerode, reverse_nerode
 from .relcalc import BoolRel, _bit_indices
-from . import selftest as _selftest_mod
 
 __all__ = [
     "MAX_STATES",
@@ -306,8 +305,18 @@ def parse_rel(text: str, source: str = "<string>") -> BoolRel:
 
 
 def _load(path: str, parse):
-    with open(path, encoding="utf-8") as handle:
-        return parse(handle.read(), source=path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's line, counted by the line breaks that the parsers'
+        # str.splitlines finds in the valid text before it.
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(
+            path, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}, {exc.reason}"
+        ) from None
+    return parse(text, source=path)
 
 
 _GREATEST = {
@@ -406,7 +415,10 @@ def _cmd_selftest(args) -> int:
         if value < 1:
             raise ValueError(f"{option} must be at least 1, got {value}")
     _require_state_limit(args.states)
-    return _selftest_mod.run(
+    # Imported here so that no other command pays for loading the battery.
+    from . import selftest
+
+    return selftest.run(
         max_states=args.states,
         seed=args.seed,
         trials=args.trials,

@@ -8,8 +8,6 @@ insist that they agree; a disagreement is an internal bug, not a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automaton import (
     Nfa,
     _is_bijection,
@@ -35,6 +33,7 @@ from .nerode import _subsets
 from .relcalc import (
     BoolRel,
     Partition,
+    _Record,
     _columns,
     _unions,
     cokernel,
@@ -65,24 +64,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EquivWitness:
+class EquivWitness(_Record):
     """Proof of a positive fb or wfb verdict: the greatest relation, the
     bijection between the factor automata, and the two factoring partitions."""
 
+    __slots__ = ("relation", "class_map", "classes_a", "classes_b")
     relation: BoolRel
     class_map: tuple
     classes_a: Partition
     classes_b: Partition
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(_Record):
     """Decision plus the artifact that proves a positive answer."""
 
+    __slots__ = ("equivalent", "method", "witness")
+    _defaults = {"witness": None}
     equivalent: bool
     method: str
-    witness: object | None = None
+    witness: object | None
 
     def __bool__(self):
         return self.equivalent
@@ -267,11 +267,11 @@ def reduce(a: Nfa, mode: str) -> Nfa:
             return a
 
 
-@dataclass(frozen=True)
-class UniformCrosscheck:
+class UniformCrosscheck(_Record):
     """Agreement record for the three characterizations of a uniform
     (weak-free) bisimulation: factor-structure, direct check, equalities."""
 
+    __slots__ = ("kernel_ok", "cokernel_ok", "factor_iso_ok", "equalities", "verdict")
     kernel_ok: bool
     cokernel_ok: bool
     factor_iso_ok: bool

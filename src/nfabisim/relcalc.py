@@ -46,6 +46,67 @@ def _mask_of(bits) -> int:
     return sum(1 << i for i, bit in enumerate(bits) if bit)
 
 
+class _Record:
+    """Immutable record whose fields are its subclass's ``__slots__``.
+
+    A subclass lists its fields in order in ``__slots__`` and the defaults
+    of trailing ones in ``_defaults``.  Records are built, compared, hashed
+    and printed field by field in that order, as frozen dataclasses are;
+    the dataclasses module is not used because importing it (with
+    ``inspect``, ``ast`` and ``dis``) costs more than any command's start.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes at most {len(fields)} "
+                f"arguments, got {len(args)}"
+            )
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() got unexpected or repeated "
+                f"arguments {sorted(kwargs)}"
+            )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r} of an immutable record")
+
+    __delattr__ = __setattr__
+
+    # Copies and pickles rebuild the record through __init__.
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 class BoolVec:
     """Subset of {0, ..., n-1} stored as a bit mask."""
 

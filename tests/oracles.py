@@ -409,23 +409,10 @@ def bfb_oracle(a: Nfa, b: Nfa, phi: BoolRel) -> bool:
     return not bfb_violations(a, b, phi)
 
 
-def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
-    """The paper's shrinking sequence phi_0, phi_1, ... for kind "fb" or "bfb".
-
-    With R / S the left residual (the greatest psi with psi o S <= R) and
-    S \\ R the right residual (the greatest psi with S o psi <= R), each round
-    intersects over every symbol x:
-
-        fb:  phi_{k+1} = phi_k & ((d_B^x o phi_k^-1) / d_A^x)^-1
-                               & ((d_A^x o phi_k) / d_B^x)
-        bfb: phi_{k+1} = phi_k & ((d_A^x o phi_k) / d_B^x)
-                               & (d_A^x \\ (phi_k o d_B^x))
-
-    from phi_0 = terminal agreement (fb), or sigma_A -> sigma_B intersected
-    with tau_A <- tau_B (bfb).  The sequence ends when a round changes
-    nothing (its last two entries are equal) or phi is empty.  Every bound
-    is written pair by pair over explicit edge and state sets.
-    """
+def _fixpoint_start(kind: str, a: Nfa, b: Nfa):
+    """phi_0, the pair-by-pair round test ``stays(p, q, phi)``, and each
+    pair's neighbours (its successor and predecessor pairs under every
+    symbol) for the fixpoint of ``fixpoint_steps_oracle``."""
     sigma_a, tau_a = _members(a.sigma), _members(a.tau)
     sigma_b, tau_b = _members(b.sigma), _members(b.tau)
     edges = [(_edges(a, x), _edges(b, x)) for x in a.alphabet]
@@ -462,6 +449,58 @@ def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
                 return False
         return True
 
+    def neighbours(p, q):
+        return {
+            pair
+            for out_a, out_b, in_a, in_b in ends
+            for side_a, side_b in ((out_a, out_b), (in_a, in_b))
+            for pair in itertools.product(side_a[p], side_b[q])
+        }
+
+    return pairs, stays, neighbours
+
+
+def fixpoint_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
+    """The paper's shrinking sequence phi_0, phi_1, ... for kind "fb" or "bfb".
+
+    With R / S the left residual (the greatest psi with psi o S <= R) and
+    S \\ R the right residual (the greatest psi with S o psi <= R), each round
+    intersects over every symbol x:
+
+        fb:  phi_{k+1} = phi_k & ((d_B^x o phi_k^-1) / d_A^x)^-1
+                               & ((d_A^x o phi_k) / d_B^x)
+        bfb: phi_{k+1} = phi_k & ((d_A^x o phi_k) / d_B^x)
+                               & (d_A^x \\ (phi_k o d_B^x))
+
+    from phi_0 = terminal agreement (fb), or sigma_A -> sigma_B intersected
+    with tau_A <- tau_B (bfb).  The sequence ends when a round changes
+    nothing (its last two entries are equal) or phi is empty.  Every bound
+    is written pair by pair over explicit edge and state sets.
+
+    A pair's test reads only its successor and predecessor pairs, and the
+    test is monotone in phi, so a pair that passed round k passes round
+    k + 1 unless one of those pairs left phi in round k: round 0 tests every
+    pair, each later round only the neighbours of the pairs just removed.
+    ``full_rescan_steps_oracle`` re-tests every pair in every round.
+    """
+    pairs, stays, neighbours = _fixpoint_start(kind, a, b)
+    seq = [pairs]
+    suspects = pairs
+    while pairs:
+        removed = {(p, q) for p, q in suspects if not stays(p, q, pairs)}
+        nxt = pairs - removed
+        seq.append(nxt)
+        if not removed:
+            break
+        pairs = nxt
+        suspects = {pair for p, q in removed for pair in neighbours(p, q)} & pairs
+    return [rel_from_pairs(a.n, b.n, phi) for phi in seq]
+
+
+def full_rescan_steps_oracle(kind: str, a: Nfa, b: Nfa) -> list:
+    """``fixpoint_steps_oracle`` with every remaining pair re-tested in every
+    round; the reference the semi-naive form is held to."""
+    pairs, stays, _ = _fixpoint_start(kind, a, b)
     seq = [pairs]
     while pairs:
         nxt = {(p, q) for p, q in pairs if stays(p, q, pairs)}

@@ -60,6 +60,7 @@ from oracles import (
     all_relations,
     bfb_violations,
     fixpoint_steps_oracle,
+    full_rescan_steps_oracle,
     join_oracle,
     language_oracle,
     line_nfa,
@@ -388,6 +389,30 @@ def _blown_up(rng, a, extra):
         sigma[perm[q]] = q < a.n and a.sigma[q]
         tau[perm[q]] = a.tau[origin[q]]
     return Nfa(n, alphabet, delta, sigma, tau)
+
+
+def test_semi_naive_fixpoint_oracle_is_the_full_rescan():
+    # The oracle re-tests only the neighbours of removed pairs; on the
+    # corner examples and on small random automata, sparse and dense, it
+    # must yield the same rounds as re-testing every pair.
+    rng = random.Random(83)
+    cases = [_EMPTY_START, _EMPTIES_LATE, _STABLE_EARLY]
+    for trial in range(60):
+        alphabet = ("a", "b")[: 1 + trial % 2]
+        if trial % 2:
+            a = _sparse(rng, rng.randint(1, 10), alphabet)
+            b = _sparse(rng, rng.randint(1, 10), alphabet) if trial % 3 else a
+        else:
+            a, b = (random_nfa(rng.randint(1, 6), alphabet, 0.3, rng.randrange(10**6))
+                    for _ in range(2))
+        cases.append((a, b))
+    rounds = []
+    for a, b in cases:
+        for kind in ("fb", "bfb"):
+            steps = fixpoint_steps_oracle(kind, a, b)
+            assert steps == full_rescan_steps_oracle(kind, a, b)
+            rounds.append(len(steps))
+    assert max(rounds) >= 5
 
 
 def test_fb_steps_match_the_paper_rounds_on_larger_automata():

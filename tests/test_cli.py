@@ -1,4 +1,3 @@
-import dataclasses
 import glob
 import io
 import os
@@ -674,7 +673,9 @@ def test_selftest_weak_check_reaches_deep_pairs(monkeypatch):
     masks[i] &= masks[i] - 1
 
     def dropped(a, b):
-        return dataclasses.replace(exact, relation=BoolRel(a.n, b.n, masks))
+        return bisim.BisimReport(
+            exact.kind, BoolRel(a.n, b.n, masks), exact.iterations, exact.failure, exact.flags
+        )
 
     monkeypatch.setattr(selftest, "greatest_weak_forward_sim", dropped)
     monkeypatch.setattr(selftest, "reachable_terminal_pairs", lambda a, b: pairs[:-1])
@@ -726,7 +727,9 @@ def test_selftest_definition_check_catches_a_dropped_bb_pair(monkeypatch):
     masks[0] = 0b1000
 
     def dropped(a, b):
-        return dataclasses.replace(exact, relation=BoolRel(a.n, b.n, masks))
+        return bisim.BisimReport(
+            exact.kind, BoolRel(a.n, b.n, masks), exact.iterations, exact.failure, exact.flags
+        )
 
     monkeypatch.setattr(selftest, "greatest_backward_bisim", dropped)
     selftest._check_definitions(a, a, problems)
@@ -892,6 +895,30 @@ def test_malformed_transition_lines_raise_the_first_bad_tokens_error(
     bad.write_text(text, encoding="utf-8")
     assert main(["reduce", "--mode", "fb", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {bad}:6: {message}\n"
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_bytes_that_are_not_utf8_name_their_file_and_line(tmp_path, capsys, newline):
+    # A stray 0xff byte in a comment on line 6 of an automaton, and a cut
+    # three-byte character on line 3 of a relation.
+    lines = [b"states 2", b"alphabet x", b"initial 0", b"terminal 1", b"x: 0->1",
+             b"# stray \xff byte"]
+    bad = tmp_path / "bad.nfa"
+    bad.write_bytes(newline.join(lines) + newline)
+    assert main(["reduce", "--mode", "fb", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}:6: not UTF-8 text: byte 0xff, invalid start byte\n"
+    rel = tmp_path / "bad.rel"
+    rel.write_bytes(newline.join([b"2 2", b"10", b"0\xe2\x801"]) + newline)
+    good = tmp_path / "good.nfa"
+    good.write_bytes(newline.join(lines[:-1]) + newline)
+    assert main(["check", "--kind", "fb", "--relation", str(rel), str(good), str(good)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: {rel}:3: not UTF-8 text: byte 0xe2, invalid continuation byte\n"
+    )
 
 
 @pytest.mark.parametrize("line, edges", [
