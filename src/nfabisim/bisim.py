@@ -6,22 +6,24 @@ its per-symbol residual bounds round by round until stable, then test the two
 covering conditions that the fixpoint cannot enforce.  For fb every round is
 one round of partition refinement over the disjoint union of the two
 automata, which re-keys only the predecessors of the states the round before
-moved once those are few.  For bfb phi is kept once, as row masks, and both
-conditions are read from rows; each round after the first re-tests only the
-rows above and below a row that the round before took pairs out of, and
-only at the states those pairs can have cost.  Both return the paper's exact
-sequence of relations.  bb and fbb are fb and bfb on the reversed automata,
-which swap the initial and terminal vectors; their covering conditions are
-named and tested on A and B themselves.  The greatest fb and bb
-equivalences of one automaton, which the reductions factor by, build no
-relation: they refine A, or its reversal, until a round moves nothing and
-read the classes off the stable blocks, which are the fixpoint's classes
-(``greatest_fb_equivalence``).  The weak kinds read the finitely
-many reachable vector pairs instead, found by the one breadth-first subset
-search (``nerode._subsets``) that also determinizes: the weak forward kinds
-the terminal-vector pairs, the subsets of the reversed disjoint union A+B,
-and the weak backward kinds the initial-vector pairs, the subsets of A+B
-itself.  They compare the states' membership signatures over them.
+moved once those are few, and returns the paper's exact sequence of
+relations.  For bfb phi is kept once, as row masks, and both conditions are
+read from rows.  The paper's rounds (``backward_forward_bisim_steps``) stay
+as the specification; the greatest bfb runs round 0 and then propagates
+each row's removed pairs as soon as they are found, re-testing only the rows
+above and below that row, and only at the states those pairs can have cost,
+so it does no round's worth of work per removed row.  bb and fbb are fb and
+bfb on the reversed automata, which swap the initial and terminal vectors;
+their covering conditions are named and tested on A and B themselves.  The
+greatest fb and bb equivalences of one automaton, which the reductions
+factor by, build no relation: they refine A, or its reversal, until a round
+moves nothing and read the classes off the stable blocks, which are the
+fixpoint's classes (``greatest_fb_equivalence``).  The weak kinds read the
+finitely many reachable vector pairs instead, found by the one breadth-first
+subset search (``nerode._subsets``) that also determinizes: the weak forward
+kinds the terminal-vector pairs, the subsets of the reversed disjoint union
+A+B, and the weak backward kinds the initial-vector pairs, the subsets of
+A+B itself.  They compare the states' membership signatures over them.
 
 Condition names used in reports:
 
@@ -120,9 +122,11 @@ class BisimReport(_Record):
     """Result of a greatest-relation computation.
 
     Exactly one of ``relation`` and ``failure`` is set.  ``iterations`` counts
-    refinement steps for the fixpoint algorithms and explored vector pairs for
-    the weak ones.  ``flags`` carries ``relation-is-empty`` when an accepted
-    relation has no pairs (possible only with empty initial vectors).
+    the paper's rounds for fb and bb, ``_lost_witnesses`` passes for bfb and
+    fbb (round 0, then one per row whose removed pairs were propagated), and
+    explored vector pairs for the weak kinds.  ``flags`` carries
+    ``relation-is-empty`` when an accepted relation has no pairs (possible
+    only with empty initial vectors).
     """
 
     __slots__ = ("kind", "relation", "iterations", "failure", "flags")
@@ -278,15 +282,19 @@ def check(kind: BisimKind, a: Nfa, b: Nfa, phi: BoolRel) -> CheckResult:
 
 
 def _lost_witnesses(rows, gone, top, sides) -> dict:
-    """Pairs (a, b) of phi_k = ``rows``, as a mask of b per row a, that
-    break the row or the column condition of some symbol against phi_k.
+    """Pairs (a, b) of phi = ``rows``, as a mask of b per row a, that break
+    the row or the column condition of some symbol against phi.
 
-    ``gone`` holds the pairs that the round before took out, by row, or is
-    None in round 0, which tests every row in full.  Otherwise the row
-    condition is re-tested only in the rows a above a row u that lost pairs,
-    at the states those took out of U(a), and the column condition only in
-    the rows below u, at the states of Img_B(gone[u]) that no B-predecessor
-    in row u of phi_k keeps in Img_B(row u)."""
+    ``gone`` holds pairs taken out of phi and not yet propagated, by row: the
+    pairs the round before took out, or one row's pending removals, or None
+    in round 0, which tests every row in full.  Otherwise the row condition
+    is re-tested only in the rows a above a row u that lost pairs, at the
+    states those took out of U(a), and the column condition only in the rows
+    below u, at the states of Img_B(gone[u]) that no B-predecessor in row u
+    of phi keeps in Img_B(row u).  This finds every pair that breaks a
+    condition against phi but met it against phi plus ``gone``: the
+    conditions are monotone in phi, and a pair outside the rows re-tested
+    lost nothing that it reads."""
     out = {}
     for succ, pred, image, preimage in sides:
         # lost: per row a, the states U(a) may have lost; dead: per row u,
@@ -368,6 +376,24 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
         block = new
 
 
+def _bfb_start(a: Nfa, b: Nfa):
+    """What the bfb loops read: phi_0's rows, the mask of all of B's states,
+    and per symbol A's successor and predecessor lists with the union
+    functions of B's successor masks (Img_B) and of its predecessor masks
+    (the B-preimage), once for round 0 and once, without the symbols that
+    only loop, for what follows it."""
+    _require_same_alphabet(a, b)
+    sides, later = [], []
+    back_b = reverse(b)
+    for x, succ, pred in zip(a.alphabet, _successors(a), _successors(reverse(a))):
+        fb, rb = b.delta[x], back_b.delta[x]
+        sides.append((succ, pred, _unions(fb.row_masks), _unions(rb.row_masks)))
+        if not (_loops_only(a.delta[x]) and _loops_only(fb)):
+            later.append(sides[-1])
+    phi = intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau))
+    return list(phi.row_masks), (1 << b.n) - 1, sides, later
+
+
 def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     """The paper's shrinking sequence phi_0, phi_1, ... for the greatest
     backward-forward bisimulation, from phi_0 = (sigma_A -> sigma_B) &
@@ -384,10 +410,13 @@ def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     row a' for every a' in P(a), that is, when b lies in each Img_B(row a'),
     the x-successors in B of the states of row a'.
 
-    Each round removes, all at once, the pairs of phi_k that break a
-    condition against phi_k; the sequence ends once a round removes nothing
-    or phi is empty.  Round 0 tests each row a against U(a), and ANDs each
-    Img_B(row u) into the rows of u's successors.  Later rounds are
+    These rounds are the executable specification: ``_bfb_fixpoint``
+    removes the same pairs in all, without round barriers, and it is what
+    the greatest bfb and fbb run.  Each round removes, all at once, the
+    pairs of phi_k that break a condition against phi_k; the sequence ends
+    once a round removes nothing or phi is empty.  Round 0 tests each row a
+    against U(a), and ANDs each Img_B(row u) into the rows of u's
+    successors.  Later rounds are
     semi-naive (Henzinger, Henzinger & Kopke, 1995, without their per-pair
     counters): a pair of phi_k passed the round before, so S(b) <=
     U_{k-1}(a), and it breaks the row condition now exactly when S(b) meets
@@ -407,26 +436,13 @@ def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     never breaks that symbol's conditions again, and every round removes
     the paper's pairs and no others.
     """
-    _require_same_alphabet(a, b)
-    # Per symbol, what both conditions read: A's successor and predecessor
-    # lists and the union functions of B's successor masks (Img_B) and of
-    # its predecessor masks (the B-preimage); and whether it only loops.
-    sides, moving = [], []
-    back_b = reverse(b)
-    for x, succ, pred in zip(a.alphabet, _successors(a), _successors(reverse(a))):
-        fb, rb = b.delta[x], back_b.delta[x]
-        sides.append((succ, pred, _unions(fb.row_masks), _unions(rb.row_masks)))
-        moving.append(not (_loops_only(a.delta[x]) and _loops_only(fb)))
-    top = (1 << b.n) - 1
-    phi = intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau))
-    rows = list(phi.row_masks)
+    rows, top, sides, later = _bfb_start(a, b)
     gone = None
-    seq = [phi]
+    seq = [BoolRel(a.n, b.n, rows)]
     while any(rows):
         out = _lost_witnesses(rows, gone, top, sides)
-        if gone is None:
-            # After round 0 a symbol that only loops removes nothing.
-            sides = [s for s, keep in zip(sides, moving) if keep]
+        # After round 0 a symbol that only loops removes nothing.
+        sides = later
         # Every pair found is still in phi_k: one XOR per row takes it out.
         for i, m in out.items():
             rows[i] ^= m
@@ -435,6 +451,39 @@ def backward_forward_bisim_steps(a: Nfa, b: Nfa) -> list:
         if not gone:
             break
     return seq
+
+
+def _bfb_fixpoint(a: Nfa, b: Nfa):
+    """The greatest bfb, the last relation of
+    ``backward_forward_bisim_steps``, and the number of ``_lost_witnesses``
+    passes that found it: round 0, then one per row whose removed pairs
+    were propagated.
+
+    Round 0 runs as in the paper's rounds.  Its removals are then pending,
+    by row; each pass pops one row's, tests the rows above and below it
+    against the current rows, takes each pair it finds out at once and adds
+    it to the pending removals of its row, with no round barrier.  The
+    conditions are monotone in phi, so a pair that breaks one against rows
+    that hold the greatest bfb is not in it, and the rows keep holding it.
+    A pair that no pass removes met every condition against the current
+    rows plus the pending removals when it was last tested, and each pass
+    propagates exactly the part of that union that the rows lost; so once
+    nothing is pending, the rows are a bfb inside phi_0 and hence the
+    greatest one."""
+    rows, top, sides, later = _bfb_start(a, b)
+    if not any(rows):
+        return BoolRel(a.n, b.n, rows), 0
+    pending = _lost_witnesses(rows, None, top, sides)
+    for i, m in pending.items():
+        rows[i] ^= m
+    passes = 1
+    while pending:
+        u, m = pending.popitem()
+        passes += 1
+        for i, hit in _lost_witnesses(rows, {u: m}, top, later).items():
+            rows[i] ^= hit
+            pending[i] = pending.get(i, 0) | hit
+    return BoolRel(a.n, b.n, rows), passes
 
 
 def _report(kind, a, b, phi, iterations, cover) -> BisimReport:
@@ -446,35 +495,35 @@ def _report(kind, a, b, phi, iterations, cover) -> BisimReport:
     return BisimReport(kind, phi, iterations, flags=flags)
 
 
-def _greatest(kind, a, b, seq) -> BisimReport:
-    """Report the last relation of a strong kind's sequence.  In halves
-    order, a forward half's initial condition and a backward half's
-    terminal one are its covering conditions."""
+def _greatest(kind, a, b, phi, iterations) -> BisimReport:
+    """Report the greatest relation of a strong kind.  In halves order, a
+    forward half's initial condition and a backward half's terminal one are
+    its covering conditions."""
     cover = [initial if half is _forward_half else terminal
              for half, _, initial, _, terminal in _HALVES[kind]]
-    return _report(kind, a, b, seq[-1], len(seq) - 1, cover)
+    return _report(kind, a, b, phi, iterations, cover)
 
 
 def greatest_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest forward bisimulation, or the violated covering conditions."""
-    return _greatest(BisimKind.FORWARD_BISIM, a, b, forward_bisim_steps(a, b))
+    seq = forward_bisim_steps(a, b)
+    return _greatest(BisimKind.FORWARD_BISIM, a, b, seq[-1], len(seq) - 1)
 
 
 def greatest_backward_forward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Greatest backward-forward bisimulation, or the violated conditions."""
-    seq = backward_forward_bisim_steps(a, b)
-    return _greatest(BisimKind.BACKWARD_FORWARD_BISIM, a, b, seq)
+    return _greatest(BisimKind.BACKWARD_FORWARD_BISIM, a, b, *_bfb_fixpoint(a, b))
 
 
 def greatest_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
     """Dual of the forward algorithm, run on the reversed automata."""
     seq = forward_bisim_steps(reverse(a), reverse(b))
-    return _greatest(BisimKind.BACKWARD_BISIM, a, b, seq)
+    return _greatest(BisimKind.BACKWARD_BISIM, a, b, seq[-1], len(seq) - 1)
 
 
 def greatest_forward_backward_bisim(a: Nfa, b: Nfa) -> BisimReport:
-    seq = backward_forward_bisim_steps(reverse(a), reverse(b))
-    return _greatest(BisimKind.FORWARD_BACKWARD_BISIM, a, b, seq)
+    fixpoint = _bfb_fixpoint(reverse(a), reverse(b))
+    return _greatest(BisimKind.FORWARD_BACKWARD_BISIM, a, b, *fixpoint)
 
 
 def greatest_fb_equivalence(a: Nfa) -> Partition:

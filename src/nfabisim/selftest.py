@@ -2,6 +2,7 @@
 
 Each trial draws a seeded pair of automata and replays the core guarantees:
 the greatest bb and fbb relations against their definition check, the
+greatest bfb and fbb reports against those of the paper's rounds, the
 greatest fb and bb equivalences of the first automaton against the fixpoint
 of it against itself, partial uniformity of accepted greatest relations,
 the uniform fb and bfb cross-checks and the fb/bfb agreement for functions
@@ -21,6 +22,8 @@ import sys
 from .automaton import factor, random_nfa, reverse
 from .bisim import (
     BisimKind,
+    _greatest,
+    backward_forward_bisim_steps,
     check,
     greatest_backward_bisim,
     greatest_backward_forward_bisim,
@@ -71,6 +74,21 @@ def _check_definitions(a, b, problems):
         rel = algorithm(a, b).relation
         if rel is not None and not rel.is_empty() and not check(kind, a, b, rel):
             problems.append(f"accepted {kind.value} relation fails its definition")
+
+
+def _check_rounds(a, b, problems):
+    # The greatest bfb and fbb propagate removed pairs row by row; the
+    # paper's rounds, on A and B or on their reversals, are the spec.
+    for kind, algorithm, left, right in (
+        (BisimKind.BACKWARD_FORWARD_BISIM, greatest_backward_forward_bisim, a, b),
+        (BisimKind.FORWARD_BACKWARD_BISIM, greatest_forward_backward_bisim,
+         reverse(a), reverse(b)),
+    ):
+        last = backward_forward_bisim_steps(left, right)[-1]
+        spec = _greatest(kind, a, b, last, 0)
+        rep = algorithm(a, b)
+        if (rep.relation, rep.failure, rep.flags) != (spec.relation, spec.failure, spec.flags):
+            problems.append(f"{kind.value} disagrees with the paper's rounds")
 
 
 def _check_equivalences(a, problems):
@@ -197,6 +215,7 @@ def run(max_states: int = 6, seed: int = 0, trials: int = 25, out=None) -> int:
         b = random_nfa(nb, ("x", "y"), density, rng.randrange(1 << 30))
         problems = []
         _check_definitions(a, b, problems)
+        _check_rounds(a, b, problems)
         _check_equivalences(a, problems)
         _check_uniformity(a, b, problems)
         _check_uniform_theorems(a, problems)

@@ -409,6 +409,31 @@ def bfb_oracle(a: Nfa, b: Nfa, phi: BoolRel) -> bool:
     return not bfb_violations(a, b, phi)
 
 
+# The covering conditions of each strong bisimulation kind, in report order.
+_COVERS = {
+    "fb": ("initial-forward", "initial-backward"),
+    "bb": ("terminal-forward", "terminal-backward"),
+    "bfb": ("terminal-forward", "initial-backward"),
+    "fbb": ("initial-forward", "terminal-backward"),
+}
+
+
+def cover_failures_oracle(kind: str, a: Nfa, b: Nfa, phi: BoolRel):
+    """The covering conditions of a strong kind that phi breaks, in report
+    order, or None when it breaks none: each initial (terminal) state of one
+    side must be related to an initial (terminal) state of the other."""
+    sigma_a, tau_a = _members(a.sigma), _members(a.tau)
+    sigma_b, tau_b = _members(b.sigma), _members(b.tau)
+    pairs = {(p, q) for p in range(a.n) for q in range(b.n) if phi[p, q]}
+    holds = {
+        "initial-forward": all(any((p, q) in pairs for q in sigma_b) for p in sigma_a),
+        "initial-backward": all(any((p, q) in pairs for p in sigma_a) for q in sigma_b),
+        "terminal-forward": all(any((p, q) in pairs for q in tau_b) for p in tau_a),
+        "terminal-backward": all(any((p, q) in pairs for p in tau_a) for q in tau_b),
+    }
+    return tuple(name for name in _COVERS[kind] if not holds[name]) or None
+
+
 def _fixpoint_start(kind: str, a: Nfa, b: Nfa):
     """phi_0, the pair-by-pair round test ``stays(p, q, phi)``, and each
     pair's neighbours (its successor and predecessor pairs under every

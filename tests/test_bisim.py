@@ -59,6 +59,7 @@ from oracles import (
     all_partitions,
     all_relations,
     bfb_violations,
+    cover_failures_oracle,
     fixpoint_steps_oracle,
     full_rescan_steps_oracle,
     join_oracle,
@@ -578,6 +579,63 @@ def test_bfb_and_fbb_rounds_on_row_form_corners(a, b, counts):
         steps = backward_forward_bisim_steps(left, right)
         assert steps == fixpoint_steps_oracle("bfb", back_a, back_b)
         assert [s.count() for s in steps] == counts
+    for left, right in ((a, b), (b, a)):
+        _assert_bfb_and_fbb_are_the_last_round(left, right)
+
+
+def _assert_bfb_and_fbb_are_the_last_round(a, b):
+    """The greatest bfb and fbb, which propagate removed pairs row by row,
+    report what the paper's rounds end at: the oracle's last relation, or
+    the covering conditions it fails.  Returns the two failures."""
+    failures = []
+    for kind, greatest, left, right in (
+        ("bfb", greatest_backward_forward_bisim, a, b),
+        ("fbb", greatest_forward_backward_bisim, reverse_oracle(a), reverse_oracle(b)),
+    ):
+        last = fixpoint_steps_oracle("bfb", left, right)[-1]
+        failure = cover_failures_oracle(kind, a, b, last)
+        rep = greatest(a, b)
+        assert (rep.relation, rep.failure) == (None if failure else last, failure)
+        failures.append(failure)
+    return failures
+
+
+@pytest.mark.parametrize("n, closed", [(1, False), (2, True), (17, False), (24, True),
+                                       (40, False), (41, True)])
+def test_greatest_bfb_and_fbb_are_the_last_round_on_chains_and_rings(n, closed):
+    # Against a relabelled copy the paper's rounds take about n/2 rounds;
+    # against a blown-up copy and a one-longer line they end elsewhere.
+    a = line_nfa(n, closed)
+    rng = random.Random(n)
+    for b in (_blown_up(rng, a, 0), _blown_up(rng, a, 3), line_nfa(n + 1, closed)):
+        _assert_bfb_and_fbb_are_the_last_round(a, b)
+        _assert_bfb_and_fbb_are_the_last_round(b, a)
+
+
+def test_greatest_bfb_and_fbb_are_the_last_round_on_sparse_automata_and_copies():
+    rng = random.Random(89)
+    failures = set()
+    for trial in range(40):
+        alphabet = ("a", "b", "c")[:1 + trial % 3]
+        a = _sparse(rng, rng.randint(1, 16), alphabet)
+        if trial % 2:
+            b = _blown_up(rng, a, rng.randint(0, 4))
+        else:
+            b = _sparse(rng, rng.randint(1, 16), alphabet[::-1])
+        failures.update(_assert_bfb_and_fbb_are_the_last_round(a, b))
+        failures.update(_assert_bfb_and_fbb_are_the_last_round(b, a))
+    # Copies of a ring: phi holds many equal rows, each a class of copies.
+    for n, k in ((3, 4), (8, 4), (12, 3)):
+        a = line_nfa(n, True)
+        for _ in range(k - 1):
+            a = sum_oracle(a, line_nfa(n, True))
+        b = _blown_up(random.Random(k), a, 0)
+        assert _assert_bfb_and_fbb_are_the_last_round(a, b) == [None, None]
+    assert failures == {
+        None, ("initial-forward",), ("initial-backward",), ("terminal-forward",),
+        ("terminal-backward",), ("terminal-forward", "initial-backward"),
+        ("initial-forward", "terminal-backward"),
+    }
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -589,20 +647,38 @@ def test_fixpoint_steps_are_the_paper_rounds(pair):
     a, b = pair
     assert forward_bisim_steps(a, b) == fixpoint_steps_oracle("fb", a, b)
     assert backward_forward_bisim_steps(a, b) == fixpoint_steps_oracle("bfb", a, b)
-    # bb and fbb are the same rounds run on the reversed automata
-    for greatest, kind in ((greatest_backward_bisim, "fb"),
-                           (greatest_forward_backward_bisim, "bfb")):
+    # bb and fbb are the same fixpoints run on the reversed automata.  bb
+    # counts the fb rounds; fbb counts its ``_lost_witnesses`` passes: round
+    # 0, unless phi_0 is empty, then one per row whose removals it propagated.
+    passes = []
+    real = bisim._lost_witnesses
+
+    def spy(rows, gone, top, sides):
+        passes.append(gone)
+        return real(rows, gone, top, sides)
+
+    for greatest, kind, name in ((greatest_backward_bisim, "fb", "bb"),
+                                 (greatest_forward_backward_bisim, "bfb", "fbb")):
         steps = fixpoint_steps_oracle(kind, reverse_oracle(a), reverse_oracle(b))
-        rep = greatest(a, b)
-        assert rep.iterations == len(steps) - 1
-        assert rep.relation is None or rep.relation == steps[-1]
+        passes.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(bisim, "_lost_witnesses", spy)
+            rep = greatest(a, b)
+        failure = cover_failures_oracle(name, a, b, steps[-1])
+        assert (rep.relation, rep.failure) == (None if failure else steps[-1], failure)
+        if kind == "fb":
+            assert (rep.iterations, passes) == (len(steps) - 1, [])
+        else:
+            assert rep.iterations == len(passes)
+            assert passes[:1] == ([None] if len(steps) > 1 else [])
+            assert all(len(gone) == 1 for gone in passes[1:])
 
 
 @pytest.mark.parametrize(
     "greatest, closed, rounds",
     [(greatest_forward_bisim, False, 255),
-     (greatest_backward_forward_bisim, False, 129),
-     (greatest_backward_forward_bisim, True, 128)],
+     (greatest_backward_forward_bisim, False, 257),
+     (greatest_backward_forward_bisim, True, 256)],
     ids=["fb-chain", "bfb-chain", "bfb-ring"],
 )
 def test_fixpoint_on_256_states_takes_seconds(greatest, closed, rounds):
@@ -612,6 +688,35 @@ def test_fixpoint_on_256_states_takes_seconds(greatest, closed, rounds):
     assert time.perf_counter() - start < 10
     assert rep.relation == BoolRel(256, 256, [1 << q for q in range(256)])
     assert rep.iterations == rounds
+
+
+@pytest.mark.parametrize(
+    "n, closed, unions",
+    [(256, False, 520), (256, True, 518), (512, False, 1032), (512, True, 1030)],
+    ids=["chain-256", "ring-256", "chain-512", "ring-512"],
+)
+def test_bfb_union_work_is_linear_on_deep_automata(monkeypatch, n, closed, unions):
+    # Against a relabelled copy the paper's rounds take about n/2 rounds that
+    # each re-test nearly every row, about 0.75 n^2 union calls (48,905 at
+    # chain-256).  Propagating each row's removed pairs at once makes about
+    # two per state.
+    calls = 0
+    real = bisim._unions
+
+    def counting(masks):
+        union_of = real(masks)
+
+        def counted(sel):
+            nonlocal calls
+            calls += 1
+            return union_of(sel)
+        return counted
+
+    monkeypatch.setattr(bisim, "_unions", counting)
+    a = line_nfa(n, closed)
+    rep = greatest_backward_forward_bisim(a, _blown_up(random.Random(n), a, 0))
+    assert rep.relation.count() == n
+    assert calls == unions
 
 
 # --- empty fixpoint corners ------------------------------------------------------

@@ -736,6 +736,34 @@ def test_selftest_definition_check_catches_a_dropped_bb_pair(monkeypatch):
     assert problems == ["accepted bb relation fails its definition"]
 
 
+def test_selftest_holds_bfb_and_fbb_to_the_paper_rounds(monkeypatch):
+    # A bfb that keeps one pair too few, and an fbb that fails a covering
+    # condition the rounds' last relation meets, each make one problem.
+    a = GOLDEN_AUTOMATA["fwd_b"]
+    problems = []
+    selftest._check_rounds(a, a, problems)
+    assert problems == []
+    exact = selftest.greatest_backward_forward_bisim(a, a)
+    masks = list(exact.relation.row_masks)
+    masks[0] &= masks[0] - 1
+
+    def dropped(a, b):
+        return bisim.BisimReport(exact.kind, BoolRel(a.n, b.n, masks), exact.iterations)
+
+    def failed(a, b):
+        return bisim.BisimReport(
+            bisim.BisimKind.FORWARD_BACKWARD_BISIM, None, 0, failure=("initial-forward",)
+        )
+
+    monkeypatch.setattr(selftest, "greatest_backward_forward_bisim", dropped)
+    monkeypatch.setattr(selftest, "greatest_forward_backward_bisim", failed)
+    selftest._check_rounds(a, a, problems)
+    assert problems == [
+        "bfb disagrees with the paper's rounds",
+        "fbb disagrees with the paper's rounds",
+    ]
+
+
 def test_selftest_uniform_cross_checks_catch_failures(monkeypatch):
     # The natural map onto the one-class factor of an automaton with
     # terminal and non-terminal states is no fb and no bfb; a factor

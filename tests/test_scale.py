@@ -85,6 +85,17 @@ def _rows(count):
     return check
 
 
+def _permutation(count):
+    """Exit 0 and ``count`` rows that each hold exactly one ``1``, each in
+    a column of its own."""
+    def check(done, paths):
+        rows = done.stdout.splitlines()
+        assert (done.returncode, len(rows)) == (0, count)
+        assert all(row.count(b"1") == 1 for row in rows)
+        assert len({row.index(b"1") for row in rows}) == count
+    return check
+
+
 def _first(line):
     def check(done, paths):
         assert (done.returncode, done.stdout.split(b"\n", 1)[0]) == (0, line.encode())
@@ -110,12 +121,13 @@ def _error(name, line):
 
 
 CASES = [
-    # A ring against a relabelled copy takes about n/2 bfb rounds on the row
-    # masks of phi alone, re-tested only on the stepping symbol (b only loops,
-    # so it stops after round 0).  The greatest bfb is the relabelling, one
-    # output row per state.
-    ("deep-bfb", _with_copy(lambda: gen.ring(512), 0),
-     ["bisim", "--kind", "bfb", "{a}", "{b}"], _rows(512)),
+    # A ring or a chain against a relabelled copy: after round 0 each pass
+    # propagates one row's removed pairs, on the stepping symbol only (b only
+    # loops, so it stops after round 0), about two union calls per state.
+    # The greatest bfb is the relabelling.
+    *((name, _with_copy(lambda make=make: make(2048), 0),
+       ["bisim", "--kind", "bfb", "{a}", "{b}"], _permutation(2048))
+      for name, make in (("deep-bfb", gen.ring), ("deep-bfb-chain", gen.chain))),
     # Round 0 takes each union of phi_0's few distinct rows once; the next
     # rounds re-test the rows above and below nearly every row.
     ("wide-bfb", _with_copy(_sparse(2048), 1),
