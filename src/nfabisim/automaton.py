@@ -50,7 +50,14 @@ def _as_rel(value, n: int) -> BoolRel:
 
 class Nfa:
     """Nondeterministic automaton: per-symbol transition relations plus
-    initial and terminal state vectors."""
+    initial and terminal state vectors.
+
+    Every automaton holds its successor index (``_succ``) from the start:
+    per symbol in alphabet order, each state's successors as a rising list.
+    ``Nfa(...)`` derives it from its masks; the program's builders write it
+    alone (``_from_index``).  The lists are shared and no reader changes
+    them.
+    """
 
     __slots__ = ("n", "alphabet", "_delta", "sigma", "tau", "_reversal", "_succ",
                  "_pair_search")
@@ -70,7 +77,8 @@ class Nfa:
         self._delta = {x: _as_rel(delta[x], n) for x in alphabet}
         self.sigma = _as_vec(sigma, n)
         self.tau = _as_vec(tau, n)
-        self._reversal = self._succ = self._pair_search = None
+        self._succ = [_index_lists(self._delta[x]) for x in alphabet]
+        self._reversal = self._pair_search = None
 
     @property
     def delta(self) -> dict:
@@ -142,7 +150,7 @@ def reverse(a: Nfa) -> Nfa:
     """
     if a._reversal is None:
         index = []
-        for succ in _successors(a):
+        for succ in a._succ:
             preds = [[] for _ in range(a.n)]
             for i, row in enumerate(succ):
                 for j in row:
@@ -162,9 +170,9 @@ def _sum(a: Nfa, b: Nfa) -> Nfa:
     B: A's lists as they are, then B's, looked up by symbol and shifted by
     a.n.  A's lists are shared, and no reader changes them."""
     _require_same_alphabet(a, b)
-    off, by_symbol = a.n, dict(zip(b.alphabet, _successors(b)))
+    off, by_symbol = a.n, dict(zip(b.alphabet, b._succ))
     index = [lists + [[j + off for j in row] for row in by_symbol[x]]
-             for x, lists in zip(a.alphabet, _successors(a))]
+             for x, lists in zip(a.alphabet, a._succ)]
     return _from_index(off + b.n, a.alphabet, index, a.sigma.mask | b.sigma.mask << off,
                        a.tau.mask | b.tau.mask << off)
 
@@ -181,7 +189,7 @@ def _image(a: Nfa, targets, cols: int) -> Nfa:
     """
     bits = [1 << t for t in targets]
     index = []
-    for succ in _successors(a):
+    for succ in a._succ:
         seen = [0] * cols
         lists = [[] for _ in range(cols)]
         for t, row in zip(targets, succ):
@@ -227,30 +235,14 @@ def is_isomorphism(a: Nfa, b: Nfa, phi) -> bool:
     compared with b through their successor indices, symbol by symbol."""
     if not _is_bijection(a, b, phi):
         return False
-    image, by_symbol = _image(a, phi, b.n), dict(zip(b.alphabet, _successors(b)))
+    image, by_symbol = _image(a, phi, b.n), dict(zip(b.alphabet, b._succ))
     return (image.sigma == b.sigma and image.tau == b.tau
-            and _successors(image) == list(map(by_symbol.get, a.alphabet)))
+            and image._succ == list(map(by_symbol.get, a.alphabet)))
 
 
 def _index_lists(rel: BoolRel) -> list:
     """Each row of rel as the list of its column indices."""
     return [list(_bit_indices(m)) for m in rel.row_masks]
-
-
-def _successors(a: Nfa) -> list:
-    """a's successor index: per symbol in alphabet order, each state's
-    successors as a rising list, ``_index_lists(a.delta[x])``.
-
-    It is the one format the program's builders write (``_from_index``:
-    ``_from_edges`` for the parser, ``reverse``, ``_image`` and ``_sum``),
-    and ``Nfa.delta`` builds their masks from it on first read.  Only an
-    automaton given masks (``Nfa(...)``: ``random_nfa``, tests) builds its
-    index here, on first use.  The lists are shared and no reader changes
-    them.
-    """
-    if a._succ is None:
-        a._succ = [_index_lists(a.delta[x]) for x in a.alphabet]
-    return a._succ
 
 
 def _from_index(n: int, alphabet, index: list, sigma, tau) -> Nfa:
@@ -379,6 +371,19 @@ def _refine(block: list, tables):
         block = new
 
 
+def _match(col_a, col_b):
+    """The bijection phi that pairs each state i of one side with a state
+    phi[i] of equal colour on the other, or None when the two multisets of
+    colours differ.  Within a colour the states of both sides are paired in
+    rising index order."""
+    if sorted(col_a) != sorted(col_b):
+        return None
+    groups = {}  # highest first, so pop() hands them out rising
+    for j in reversed(range(len(col_b))):
+        groups.setdefault(col_b[j], []).append(j)
+    return tuple(groups[c].pop() for c in col_a)
+
+
 def find_isomorphism(a: Nfa, b: Nfa):
     """The isomorphism between two fb-reduced automata, or None when there
     is none.
@@ -401,15 +406,14 @@ def find_isomorphism(a: Nfa, b: Nfa):
     n = a.n
     s = _sum(a, b)
     block = [2 * (s.sigma.mask >> i & 1) + (s.tau.mask >> i & 1) for i in range(2 * n)]
-    for block, _ in _refine(block, _successors(s)):
+    for block, _ in _refine(block, s._succ):
         pass
-    if sorted(block[:n]) != sorted(block[n:]):
+    phi = _match(block[:n], block[n:])
+    if phi is None:
         return None
-    image = dict(zip(block[n:], range(n)))
-    if len(image) < n:
+    if len(set(block[n:])) < n:
         raise AssertionError("a colour holds two states of one side: "
                              "an automaton is not fb-reduced")
-    phi = tuple(map(image.__getitem__, block[:n]))
     if not is_isomorphism(a, b, phi):
         raise AssertionError("successor refinement produced an invalid mapping")
     return phi
@@ -426,12 +430,14 @@ def random_nfa(n: int, alphabet, transition_density: float, seed) -> Nfa:
     alphabet = tuple(alphabet)
     delta = {}
     for x in alphabet:
-        delta[x] = BoolRel.from_bits(
-            [
-                [1 if rng.random() < transition_density else 0 for _ in range(n)]
-                for _ in range(n)
-            ]
-        )
+        rows = []
+        for _ in range(n):
+            m = 0
+            for j in range(n):
+                if rng.random() < transition_density:
+                    m |= 1 << j
+            rows.append(m)
+        delta[x] = BoolRel(n, n, rows)
     def boundary():
         bits = [1 if rng.random() < transition_density else 0 for _ in range(n)]
         if not any(bits):

@@ -49,7 +49,6 @@ from .automaton import (
     Nfa,
     _refine,
     _require_same_alphabet,
-    _successors,
     _sum,
     reverse,
 )
@@ -221,15 +220,10 @@ def _terminal_vectors(a: Nfa, b: Nfa) -> list:
     return kept[1]
 
 
-def _initial_vectors(a: Nfa, b: Nfa) -> list:
-    """The initial vectors sigma_u of A+B, the subsets of A+B itself."""
-    return _vectors(a, b)
-
-
 # Per weak kind: the vector pairs of A and B as masks of A+B (the terminal
-# vectors tau_u or the initial vectors sigma_u), the names of the conditions
-# on those pairs over phi and, for a bisimulation, over phi^-1, and the
-# covering conditions.
+# vectors tau_u, or the initial vectors sigma_u, the subsets of A+B itself),
+# the names of the conditions on those pairs over phi and, for a
+# bisimulation, over phi^-1, and the covering conditions.
 _WEAK = {
     BisimKind.WEAK_FORWARD_SIM: (
         _terminal_vectors, ("weak-terminal",), ("initial-forward",)
@@ -240,10 +234,10 @@ _WEAK = {
         ("initial-forward", "initial-backward"),
     ),
     BisimKind.WEAK_BACKWARD_SIM: (
-        _initial_vectors, ("weak-initial",), ("terminal-forward",)
+        _vectors, ("weak-initial",), ("terminal-forward",)
     ),
     BisimKind.WEAK_BACKWARD_BISIM: (
-        _initial_vectors,
+        _vectors,
         ("weak-initial", "weak-initial-rev"),
         ("terminal-forward", "terminal-backward"),
     ),
@@ -360,7 +354,7 @@ def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
     off, s = (0, a) if b is a else (a.n, _sum(a, b))
     block = [s.tau.mask >> i & 1 for i in range(s.n)]
     masks = defaultdict(int, {0: ~b.tau.mask & (1 << b.n) - 1, 1: b.tau.mask})
-    rounds = _refine(block, _successors(s))
+    rounds = _refine(block, s._succ)
     seq = []
     while True:
         rows = tuple(map(masks.__getitem__, block[:a.n]))
@@ -385,7 +379,7 @@ def _bfb_start(a: Nfa, b: Nfa):
     _require_same_alphabet(a, b)
     sides, later = [], []
     back_b = reverse(b)
-    for x, succ, pred in zip(a.alphabet, _successors(a), _successors(reverse(a))):
+    for x, succ, pred in zip(a.alphabet, a._succ, reverse(a)._succ):
         fb, rb = b.delta[x], back_b.delta[x]
         sides.append((succ, pred, _unions(fb.row_masks), _unions(rb.row_masks)))
         if not (_loops_only(a.delta[x]) and _loops_only(fb)):
@@ -541,7 +535,7 @@ def greatest_fb_equivalence(a: Nfa) -> Partition:
     relation is built, so a round costs the states it keys, not n x n bits.
     """
     block = [a.tau.mask >> i & 1 for i in range(a.n)]
-    for block, _ in _refine(block, _successors(a)):
+    for block, _ in _refine(block, a._succ):
         pass
     return Partition(block)
 
@@ -567,15 +561,19 @@ def reachable_terminal_pairs(a: Nfa, b: Nfa) -> list:
     ]
 
 
+def _signatures(masks, a: Nfa, b: Nfa):
+    """Per-state signatures of A and of B: bit k is set when the state lies
+    in the k-th of ``masks``, vectors of A+B."""
+    sig = _columns(masks, a.n + b.n)
+    return sig[:a.n], sig[a.n:]
+
+
 def _weak_greatest(kind, a, b, related) -> BisimReport:
     """The relation of the states of A and B whose signatures over the
-    vector pairs of a weak kind are ``related``, one row mask per A state.
-    A state's signature has bit k set when it lies in the k-th vector of
-    A+B, where A's states come first."""
+    vector pairs of a weak kind are ``related``, one row mask per A state."""
     vectors, _, cover = _WEAK[kind]
     masks = vectors(a, b)
-    sig = _columns(masks, a.n + b.n)
-    rel = BoolRel(a.n, b.n, related(sig[:a.n], sig[a.n:]))
+    rel = BoolRel(a.n, b.n, related(*_signatures(masks, a, b)))
     return _report(kind, a, b, rel, len(masks), cover)
 
 

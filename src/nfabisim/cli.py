@@ -33,7 +33,7 @@ import sys
 from itertools import compress
 
 from . import equivalence
-from .automaton import Nfa, _from_edges, _successors, random_nfa
+from .automaton import Nfa, _from_edges, random_nfa
 from .bisim import (
     BisimKind,
     check,
@@ -243,7 +243,7 @@ def format_nfa(a: Nfa) -> str:
     out.append(
         "terminal" + "".join(f" {q}" for q in a.tau.indices())
     )
-    for x, succ in zip(a.alphabet, _successors(a)):
+    for x, succ in zip(a.alphabet, a._succ):
         out.append(f"{x}:" + "".join(
             [f" {src}->{names[j]}" for src, row in zip(names, succ) for j in row]
         ))

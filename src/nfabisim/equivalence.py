@@ -11,6 +11,7 @@ from __future__ import annotations
 from .automaton import (
     Nfa,
     _is_bijection,
+    _match,
     _require_same_alphabet,
     accepts,
     factor,
@@ -19,6 +20,7 @@ from .automaton import (
 )
 from .bisim import (
     BisimKind,
+    _signatures,
     _terminal_vectors,
     check,
     greatest_bb_equivalence,
@@ -34,7 +36,6 @@ from .relcalc import (
     BoolRel,
     Partition,
     _Record,
-    _columns,
     _unions,
     cokernel,
     compose,
@@ -124,10 +125,12 @@ def _two_routes(a, b, greatest, classes, match, route) -> EquivVerdict:
 def _fixpoint_fb_classes(c: Nfa) -> Partition:
     """Route 2's classes of C: the paper's fixpoint of C against itself,
     read as a partition.  ``greatest_fb_equivalence`` reaches the same
-    classes by refining to stability; route 2 keeps the fixpoint so that
-    the fixpoint stays in use as the reference.  The identity always
-    qualifies and the fixpoint is an equivalence, so a failure here is a
-    fault of the program, never of its input."""
+    classes by refining to stability.  Route 2 keeps the fixpoint because
+    the bench tracer test asserts at least 6 traced ``forward_bisim_steps``
+    rounds for ``equiv --mode fb`` on chain(6), and route 1 alone makes 5;
+    ROADMAP items 1b and 13 replace that assertion and then this function.
+    The identity always qualifies and the fixpoint is an equivalence, so a
+    failure here is a fault of the program, never of its input."""
     report = greatest_forward_bisim(c, c)
     if report.relation is None:  # pragma: no cover
         raise AssertionError("self-bisimulation fixpoint was rejected")
@@ -194,36 +197,23 @@ def language_equivalent(a: Nfa, b: Nfa) -> EquivVerdict:
     return EquivVerdict(True, "lang")
 
 
-def _weak_signatures(a: Nfa, b: Nfa):
-    """Per-state membership signatures over sigma and the reachable
-    terminal vectors: bit 0 for sigma and bit k + 1 for the k-th pair."""
-    sigma = a.sigma.mask | b.sigma.mask << a.n
-    sig = _columns(_terminal_vectors(a, b), a.n + b.n)
-    sig = [s << 1 | sigma >> i & 1 for i, s in enumerate(sig)]
-    return sig[:a.n], sig[a.n:]
-
-
 def weak_forward_isomorphism(a: Nfa, b: Nfa):
     """Bijection preserving initial-state membership and every reachable
     terminal vector, or None.
 
-    Each state is summarized by its membership signature over the reachable
-    vector pairs; any signature-preserving bijection qualifies, so states are
-    matched group by group in index order.  Signature groups of unequal size
-    rule a bijection out.
+    Each state is summarized by its membership signature over sigma, bit
+    0, and the reachable terminal vectors, bit k + 1 for the k-th; any
+    signature-preserving bijection qualifies, so states are matched group
+    by group in index order (``automaton._match``).  Signature groups of
+    unequal size rule a bijection out.
     """
     _require_same_alphabet(a, b)
     if a.n != b.n:
         return None
-    sig_a, sig_b = _weak_signatures(a, b)
-    if sorted(sig_a) != sorted(sig_b):
+    sigma = a.sigma.mask | b.sigma.mask << a.n
+    phi = _match(*_signatures([sigma, *_terminal_vectors(a, b)], a, b))
+    if phi is None:
         return None
-    # Each group lists its states highest first, so pop() hands them out in
-    # increasing index order.
-    groups_b = {}
-    for j in reversed(range(b.n)):
-        groups_b.setdefault(sig_b[j], []).append(j)
-    phi = tuple(groups_b[sig].pop() for sig in sig_a)
     if not is_weak_forward_isomorphism(a, b, phi):
         raise AssertionError("signature matching produced an invalid mapping")
     return phi

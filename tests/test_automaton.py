@@ -13,7 +13,6 @@ from nfabisim.automaton import (
     _image,
     _index_lists,
     _refine,
-    _successors,
     _sum,
     accepts,
     factor,
@@ -30,10 +29,11 @@ from nfabisim.bisim import (
     forward_bisim_steps,
     greatest_fb_equivalence,
     greatest_forward_bisim,
+    wfb_equivalence_bound,
 )
 from nfabisim import automaton
 from nfabisim.cli import format_nfa, main, parse_nfa
-from nfabisim.equivalence import is_weak_forward_isomorphism
+from nfabisim.equivalence import is_weak_forward_isomorphism, weak_forward_isomorphism
 from nfabisim.relcalc import (
     BoolRel,
     BoolVec,
@@ -238,11 +238,12 @@ def test_parsed_automata_carry_the_index_of_their_masks():
         for variant in (text, _shuffled_lines(rng, text, 0), _shuffled_lines(rng, text, 3)):
             b = parse_nfa(variant)
             assert b == a
-            assert b._succ is not None and b._succ == _from_masks(b)
-            assert _successors(b) is b._succ
+            assert b._succ == _from_masks(b)
 
 
 def test_every_automaton_builds_the_index_of_its_masks_once():
+    # Every automaton holds its index from construction on, equal to the
+    # one its masks give; reading the masks leaves it as it is.
     rng = random.Random(46)
     for _ in range(30):
         alphabet = ("x", "y", "z")[:rng.randint(1, 3)]
@@ -250,16 +251,16 @@ def test_every_automaton_builds_the_index_of_its_masks_once():
                        rng.randrange(1 << 30))
         e = random_partition(rng, a.n, rng.randint(1, a.n))
         for c in (a, reverse(a), factor(a, e), parse_nfa(format_nfa(a))):
-            index = _successors(c)
+            index = c._succ
             assert index == _from_masks(c)
-            assert _successors(c) is index
+            assert c._succ is index
 
 
 def test_the_index_of_a_sum_joins_those_of_its_parts():
     # B declares its alphabet in another order: its lists are looked up by
-    # symbol, and A+B keeps A's order.  A's lists are shared, and a part
-    # without an index builds its own once.  The sum is built from the
-    # joined index alone, and its masks are built only when read.
+    # symbol, and A+B keeps A's order.  A's lists are shared.  The sum is
+    # built from the joined index alone, and its masks are built only when
+    # read.
     rng = random.Random(47)
     for _ in range(30):
         alphabet = ("x", "y", "z")[:rng.randint(1, 3)]
@@ -268,13 +269,13 @@ def test_the_index_of_a_sum_joins_those_of_its_parts():
         b = Nfa(b.n, alphabet[::-1], b.delta, b.sigma, b.tau)
         a = parse_nfa(format_nfa(a))
         s = _sum(a, b)
-        joined = _successors(s)
-        assert joined is s._succ and s._delta is None
+        joined = s._succ
+        assert s._delta is None
         assert joined == _from_masks(sum_oracle(a, b))
         assert all(mine is part
                    for lists, own in zip(joined, a._succ)
                    for mine, part in zip(lists, own))
-        assert b._succ is not None and _successors(_sum(a, b)) == joined
+        assert _sum(a, b)._succ == joined
         assert s == sum_oracle(a, b) and s.delta is s.delta
 
 
@@ -293,9 +294,9 @@ def test_readers_leave_the_shared_lists_unchanged():
         rng.shuffle(perm)
         b = parse_nfa(format_nfa(_relabel(a, perm)))
         autos = (a, b, reverse(a), reverse(b))
-        before = [_frozen(_successors(c)) for c in autos]
+        before = [_frozen(c._succ) for c in autos]
         s = _sum(a, b)
-        for _ in _refine([s.tau.mask >> i & 1 for i in range(s.n)], _successors(s)):
+        for _ in _refine([s.tau.mask >> i & 1 for i in range(s.n)], s._succ):
             pass
         forward_bisim_steps(a, b)
         backward_forward_bisim_steps(a, b)
@@ -304,7 +305,7 @@ def test_readers_leave_the_shared_lists_unchanged():
         find_isomorphism(a_reduced, a_reduced)
         if a_reduced is a:
             find_isomorphism(a, b)
-        assert [_frozen(_successors(c)) for c in autos] == before
+        assert [_frozen(c._succ) for c in autos] == before
 
 
 def _index_sources(rng):
@@ -956,6 +957,38 @@ def test_state_map_images_match_the_definitions():
         assert not weak_isomorphism_oracle(a, other, perm)
     assert positives > 100
     assert weak_only > 50
+
+
+def test_weak_forward_isomorphism_exists_exactly_when_the_oracle_finds_one():
+    # Random automata of at most five states, and copies of a smaller one
+    # relabelled, against a relabelled copy, an independent automaton and
+    # one-bit near-copies.  None is reduced, so signature groups hold
+    # several states (always in the copies), and the search must pair
+    # them: a mapping exactly when some permutation passes the oracle, and
+    # then one that passes.
+    rng = random.Random(2026)
+    found = refuted = grouped = 0
+    for trial in range(80):
+        n = rng.randint(1, 5)
+        alphabet = ("x", "y")[: rng.randint(1, 2)]
+        if trial % 3 == 0 and n > 1:
+            k = rng.choice([d for d in range(1, n) if n % d == 0])
+            c = random_nfa(k, alphabet, 0.4, rng.randrange(1 << 30))
+            a = _relabel(_copies(c, n // k), rng.sample(range(n), n))
+        else:
+            a = random_nfa(n, alphabet, rng.choice([0.2, 0.4, 0.7]), rng.randrange(1 << 30))
+        grouped += wfb_equivalence_bound(a).num_classes < n
+        copy = _relabel(a, rng.sample(range(n), n))
+        other = random_nfa(n, alphabet, 0.4, rng.randrange(1 << 30))
+        for b in [a, copy, other] + _near_copies(rng, copy):
+            phi = weak_forward_isomorphism(a, b)
+            exists = any(weak_isomorphism_oracle(a, b, p)
+                         for p in itertools.permutations(range(n)))
+            assert (phi is not None) == exists
+            assert phi is None or weak_isomorphism_oracle(a, b, phi)
+            found += exists
+            refuted += not exists
+    assert found > 150 and refuted > 200 and grouped > 30
 
 
 # --- random generation --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import io
 import os
 import random
@@ -510,6 +511,30 @@ def test_cmd_gen_deterministic(capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     parse_nfa(first)
+
+
+# sha256 of each command's stdout.  The draws of ``random_nfa`` and their
+# order are part of what ``gen`` and ``selftest`` print for a seed, so a
+# change to how it draws must keep these bytes.
+_PINNED = [
+    (["gen", "--states", "4", "--seed", "1"],
+     "2e080a1f9300eb96289e4568c058d5da6650909428327cf84a0c6e740219f71d"),
+    (["gen", "--states", "9", "--seed", "7", "--density", "0.3", "--alphabet", "a,b,c"],
+     "4dd81d8894cb08bb5f24b59e2aa8124713711150b212e14a9e449f8d2523dfdc"),
+    (["gen", "--states", "40", "--seed", "12345", "--density", "1.0", "--alphabet", "x"],
+     "6a48c605000f70a48465e93fe9b76265a4bcfb18e484c50e0ac8678e4b5d7347"),
+    (["gen", "--states", "200", "--seed", "3", "--density", "0.05"],
+     "f65fd08d4e8fc7dc9a6a3a441b4c95226f7157547f3404f7fcbe6e52736e4a33"),
+    (["selftest", "--states", "5", "--seed", "2", "--trials", "20"],
+     "d8856503340980dcf18bae01d43cc827b0786c0b2aab31844477ddee4741ba4b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED, ids=[" ".join(a) for a, _ in _PINNED])
+def test_gen_and_selftest_print_the_pinned_bytes(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_main_repeats_in_one_process_after_an_argparse_error(capsys):
