@@ -140,9 +140,10 @@ def accepts(a: Nfa, u) -> bool:
 
 def reverse(a: Nfa) -> Nfa:
     """Flip every transition and swap initial with terminal states.  The
-    only place where transitions are inverted, once per automaton: an
-    automaton and its reversal keep each other, so ``reverse(reverse(a))``
-    is ``a`` and the predecessors by x are ``reverse(a).delta[x]``.
+    per-symbol predecessors, built once per automaton: an automaton and its
+    reversal keep each other, so ``reverse(reverse(a))`` is ``a`` and the
+    predecessors by x are ``reverse(a).delta[x]``.  ``_refine`` inverts the
+    transitions of the tables it refines itself, all symbols in one list.
 
     The reversal is built from its successor index alone, filled in one
     pass over a's per symbol: sources are visited in rising order, so each

@@ -327,10 +327,10 @@ def _lost_witnesses(rows, gone, top, sides) -> dict:
     return out
 
 
-def _loops_only(rel: BoolRel) -> bool:
-    """Whether rel lies inside the identity: each state steps to itself or
-    nowhere."""
-    return all(not m & ~(1 << i) for i, m in enumerate(rel.row_masks))
+def _loops_only(succ) -> bool:
+    """Whether one symbol's successor lists lie inside the identity: each
+    state steps to itself or nowhere."""
+    return all(j == i for i, row in enumerate(succ) for j in row)
 
 
 def forward_bisim_steps(a: Nfa, b: Nfa) -> list:
@@ -378,11 +378,11 @@ def _bfb_start(a: Nfa, b: Nfa):
     only loop, for what follows it."""
     _require_same_alphabet(a, b)
     sides, later = [], []
-    back_b = reverse(b)
+    back_b, succ_b = reverse(b), dict(zip(b.alphabet, b._succ))
     for x, succ, pred in zip(a.alphabet, a._succ, reverse(a)._succ):
         fb, rb = b.delta[x], back_b.delta[x]
         sides.append((succ, pred, _unions(fb.row_masks), _unions(rb.row_masks)))
-        if not (_loops_only(a.delta[x]) and _loops_only(fb)):
+        if not (_loops_only(succ) and _loops_only(succ_b[x])):
             later.append(sides[-1])
     phi = intersect(arrow_right(a.sigma, b.sigma), arrow_left(a.tau, b.tau))
     return list(phi.row_masks), (1 << b.n) - 1, sides, later

